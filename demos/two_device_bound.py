@@ -4,7 +4,8 @@ One legacy device transmits blindly; a second device must squeeze its own
 deadline-limited packets into the gaps.  This demo sweeps the legacy device's
 transmit probability and compares three numbers at lifetime 1:
 
-  * the omniscient optimum (LP over joint state-action occupancies),
+  * the omniscient optimum (policy iteration on the genie MDP that also
+    sees the legacy device's queue),
   * the best constant rule for the second device (always send / never send),
   * and what a short learning run actually achieves.
 
@@ -26,7 +27,7 @@ from dcra.experiments import simulate_two_device
 
 
 def main() -> None:
-    print(f"{'p_transmit':>10} {'lp bound':>9} {'best const':>10} "
+    print(f"{'p_transmit':>10} {'bound':>9} {'best const':>10} "
           f"{'learned':>8}  note")
     for peer_transmit in (0.1, 0.3, 0.5, 0.7, 0.9):
         params = TwoDeviceParams(

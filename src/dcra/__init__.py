@@ -2,7 +2,8 @@
 
 A discrete-time simulator for devices sharing one collision channel, a family
 of tabular reinforcement-learning transmission policies, and an exact
-linear-programming benchmark for the two-device case.
+two-device upper bound, solved by policy iteration on the genie MDP, with the
+dual linear program kept for export to external solvers.
 """
 
 from dcra.core import (

@@ -25,8 +25,8 @@ __all__ = ["main"]
 
 AGENT_KINDS = ("blind",) + tuple(sorted(LEARNER_KINDS))
 
-# states (2^D)^2 * 4 grow fast; the dense LP tableau for D=5 already needs
-# gigabytes, so anything above this asks for explicit consent
+# states (2^D)^2 * 4 grow fast; build_mdp's dense (2, n, n) transitions
+# tensor takes 268 MB at D=5, so anything above this asks for explicit consent
 MAX_CASUAL_LIFETIME = 4
 
 
@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
                    '"two-level-shifted:<c>" or "multi-level"')
     p.add_argument("--trace-out", metavar="FILE", help="write a per-slot trace CSV")
 
-    p = sub.add_parser("upper-bound", help="exact two-device bound via the LP solver")
+    p = sub.add_parser("upper-bound", help="exact two-device bound by policy iteration")
     _add_common(p)
     _add_pair_params(p)
     p.add_argument("--lifetime", type=int, help="packet lifetime in slots (default 2)")
@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slots", type=int, help="horizon per run (default 200000)")
     p.add_argument("--window", type=int, help="evaluation window (default 50000)")
     p.add_argument("--with-bound", action=argparse.BooleanOptionalAction,
-                   help="add the exact LP bound column")
+                   help="add the exact bound column")
 
     p = sub.add_parser("convergence", help="windowed-throughput series for one agent")
     _add_common(p)
@@ -136,7 +136,7 @@ DEFAULTS = {
         "peer_success": 0.7, "agent_success": 0.6, "peer_transmit": 0.4,
     },
     "upper-bound": {
-        "seed": 0, "lifetime": 2, "policy_out": None, "export_lp": None,
+        "seed": None, "lifetime": 2, "policy_out": None, "export_lp": None,
         "allow_large": False, "out": None,
         "peer_arrival": 0.5, "agent_arrival": 0.4,
         "peer_success": 0.7, "agent_success": 0.6, "peer_transmit": 0.4,
@@ -232,10 +232,13 @@ def _cmd_simulate(opts: dict) -> int:
 
 
 def _cmd_upper_bound(opts: dict) -> int:
+    ignored = [f"--{key}" for key in ("seed", "out") if opts[key] is not None]
+    if ignored:
+        print(f"note: upper-bound ignores {' and '.join(ignored)}", file=sys.stderr)
     lifetime = opts["lifetime"]
     if lifetime > MAX_CASUAL_LIFETIME and not opts["allow_large"]:
         raise RuntimeError(
-            f"lifetime {lifetime} builds a {(1 << lifetime) ** 2 * 4}-state LP; "
+            f"lifetime {lifetime} builds a {(1 << lifetime) ** 2 * 4}-state model; "
             "pass --allow-large if you really want this"
         )
     model = build_mdp(_pair_params(opts), lifetime)

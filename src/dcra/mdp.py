@@ -1,4 +1,4 @@
-"""Exact two-device model and its linear-programming throughput bound.
+"""Exact two-device model and its average-reward throughput bound.
 
 The tracked device (the one whose policy we optimise) shares a collision
 channel with a blind peer that retransmits whenever it holds a packet, with
@@ -10,6 +10,10 @@ the peer queue, which no real agent can.
 State index layout: s = (l1 * 2^D + l2) * 4 + o with observation order
 IDLE, BUSY, SUCCESSFUL, FAILED.  l1 and l2 are lead-time bitmasks, bit k
 set meaning a packet expiring in k+1 slots.
+
+upper_bound solves the MDP by policy iteration on the (l1, l2) pairs.  The
+paper's dual LP over the joint states (bound_program) is kept for export to
+external solvers and as an independent check.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ChannelObservation
-from .simplex import LpProgram, LpStatus, solve_lp
+# solve_lp stays importable as mdp.solve_lp for tools that wrap it by name
+from .simplex import LpProgram, solve_lp  # noqa: F401
 
 __all__ = [
     "ALWAYS_IDLE",
@@ -175,18 +180,16 @@ def build_mdp(params: TwoDeviceParams, lifetime: int) -> TwoDeviceModel:
 
 @dataclass(frozen=True)
 class BoundResult:
-    """Upper-bound value with an optimal policy that attains it.
+    """Upper-bound value with a deterministic optimal policy that attains it.
 
-    `policy` is x-proportional on states that carry occupancy mass and the
-    greedy action of the average-reward optimality equations (ties to WAIT)
-    on the rest, so it does not depend on the simplex pivot path.
-    `occupancy` and `transient` are the raw x and y blocks of the LP.
+    `policy` holds the greedy action of the average-reward optimality
+    equations (ties within TIE_TOL to WAIT) as 0/1 rows; it is the same for
+    the four observations of each (l1, l2) pair.  `iterations` counts the
+    policy-iteration steps.
     """
 
     value: float
-    policy: np.ndarray  # (n_states, 2), rows sum to 1
-    occupancy: np.ndarray  # x block, (n_states, 2)
-    transient: np.ndarray  # y block, (n_states, 2)
+    policy: np.ndarray  # (n_states, 2), rows are one-hot (WAIT, TRANSMIT)
     iterations: int
     model: TwoDeviceModel
 
@@ -201,7 +204,9 @@ def bound_program(model: TwoDeviceModel) -> LpProgram:
         sum_a x(s',a) = sum_{s,a} P(s'|s,a) x(s,a)
         sum_a x(s',a) + sum_a y(s',a) - sum_{s,a} P(s'|s,a) y(s,a) = 1/|S|
 
-    The objective maximises sum r(s) x(s,a).
+    The objective maximises sum r(s) x(s,a).  upper_bound does not solve
+    it; it is the formulation exported for external LP solvers and the
+    independent check on upper_bound.
     """
     n = model.n_states
     P = model.transitions
@@ -217,29 +222,39 @@ def bound_program(model: TwoDeviceModel) -> LpProgram:
     return LpProgram(c, A, b)
 
 
-def _evaluate_policy(
-    model: TwoDeviceModel, policy: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gain and bias vectors (g, h) of a stationary policy.
+def _pair_chain(model: TwoDeviceModel) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel (2, pairs, pairs) and expected rewards (2, pairs) on (l1, l2).
 
-    With one recurrent class g is a constant and g + h = r + P_pi h with h
+    A transition never depends on the source observation, so the first row
+    of each pair stands for all four; summing the destination observations
+    out leaves the pair chain, and r(pair, a) = P_a(pair) . rewards is the
+    reward the joint chain collects one slot later.
+    """
+    pairs = model.masks * model.masks
+    rows = model.transitions[:, ::4, :]
+    return rows.reshape(2, pairs, pairs, 4).sum(axis=3), rows @ model.rewards
+
+
+def _evaluate_policy(P: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gain and bias vectors (g, h) of the Markov reward process (P, r).
+
+    With one recurrent class g is a constant and g + h = r + P h with h
     pinned to 0 at state 0 is one dense solve, column 0 carrying g.  That
     system is singular when the chain splits into several recurrent classes
     (possible only with an arrival probability of exactly 1); then
-    g = P_pi g, g + h = r + P_pi h and h + (I - P_pi) w = 0 fix g and the
-    bias h, though not w, and a least-squares solve finds them.
+    g = P g, g + h = r + P h and h + (I - P) w = 0 fix g and the bias h,
+    though not w, and a least-squares solve finds them.
     """
-    n = model.n_states
-    P = model.transitions
-    lap = np.eye(n) - (policy[:, :1] * P[0] + policy[:, 1:] * P[1])
+    n = r.shape[0]
+    lap = np.eye(n) - P
     system = lap.copy()
     system[:, 0] = 1.0
     try:
-        z = np.linalg.solve(system, model.rewards)
+        z = np.linalg.solve(system, r)
     except np.linalg.LinAlgError:
         eye, zero = np.eye(n), np.zeros((n, n))
         blocks = np.block([[lap, zero, zero], [eye, lap, zero], [zero, eye, lap]])
-        rhs = np.concatenate([np.zeros(n), model.rewards, np.zeros(n)])
+        rhs = np.concatenate([np.zeros(n), r, np.zeros(n)])
         z = np.linalg.lstsq(blocks, rhs, rcond=None)[0]
         return z[:n], z[n : 2 * n]
     gain = np.full(n, z[0])
@@ -248,69 +263,48 @@ def _evaluate_policy(
 
 
 def upper_bound(model: TwoDeviceModel) -> BoundResult:
-    """Solve the dual LP and extract an optimal policy.
+    """Best average reward of the genie MDP, by Howard policy iteration.
 
-    On states that carry occupancy mass the policy is x-proportional, which
-    complementary slackness makes optimal.  Elsewhere the LP's y block holds
-    whatever the pivot path left there, so those states take their action
-    from the average-reward optimality equations instead (Puterman 1994,
-    ch. 8-9): evaluate the LP's policy for (g, h), set each such state to the
-    greedy action on r + P_a h with ties within TIE_TOL to WAIT (on P_a g
-    first where g is not constant), and repeat these Howard improvement
-    steps until the policy stops changing.  Every evaluated gain, averaged
-    over states as the LP weighs them, must equal the LP value to within
-    TIE_TOL.
+    Runs on the (l1, l2) pair chain (see _pair_chain), 4x smaller than the
+    joint chain (Puterman 1994, ch. 8-9).  From all-WAIT: evaluate the
+    policy for (g, h), switch every pair to the greedy action, gain first
+    (P_a g) and then bias (r_a + P_a h), with ties within TIE_TOL to WAIT,
+    and stop when the policy no longer changes.  The Q-gaps of a joint
+    state equal those of its pair, so repeating each pair's action over its
+    four observations is an optimal joint policy.  The value is the gain
+    averaged uniformly over the joint states, as bound_program weighs them.
+
+    Where the gain is constant the optimality-equation residual
+    max |g + h - max_a (r_a + P_a h)| certifies the result; it must not
+    exceed TIE_TOL.
     """
-    n = model.n_states
-    solution = solve_lp(bound_program(model))
-    if solution.status is not LpStatus.OPTIMAL:
-        raise RuntimeError(
-            f"bound LP unexpectedly {solution.status.value}; "
-            "the constraint build is broken"
+    P, r = _pair_chain(model)
+    pairs = r.shape[1]
+    transmit = np.zeros(pairs, dtype=bool)
+    for iterations in range(1, pairs + 2):
+        gain, bias = _evaluate_policy(
+            np.where(transmit[:, None], P[1], P[0]), np.where(transmit, r[1], r[0])
         )
-    value = float(solution.objective)
-    x = solution.x[: 2 * n].reshape(n, 2)
-    y = solution.x[2 * n :].reshape(n, 2)
-    policy = np.empty((n, 2))
-    x_mass = x.sum(axis=1)
-    y_mass = y.sum(axis=1)
-    free = x_mass <= 1e-12
-    for s in range(n):
-        if not free[s]:
-            policy[s] = x[s] / x_mass[s]
-        elif y_mass[s] > 1e-12:
-            policy[s] = y[s] / y_mass[s]
-        else:
-            raise RuntimeError(
-                f"state {s} carries no mass in either block; LP output invalid"
-            )
-    P = model.transitions
-    for _ in range(n + 1):
-        gain, bias = _evaluate_policy(model, policy)
-        if abs(gain.mean() - value) > TIE_TOL:
-            raise RuntimeError(
-                f"bound policy evaluates to gain {gain.mean()!r}, LP value {value!r}"
-            )
-        # lexicographic: gain first, then bias (r cancels, it depends on s only)
         gain_gap = P[1] @ gain - P[0] @ gain
-        bias_gap = P[1] @ bias - P[0] @ bias
-        transmit = (
-            (gain_gap > TIE_TOL) | ((gain_gap >= -TIE_TOL) & (bias_gap > TIE_TOL))
-        ).astype(float)
-        improved = policy.copy()
-        improved[free, 1] = transmit[free]
-        improved[free, 0] = 1.0 - transmit[free]
-        if np.array_equal(improved, policy):
+        q = r + P @ bias
+        bias_gap = q[1] - q[0]
+        improved = (gain_gap > TIE_TOL) | ((gain_gap >= -TIE_TOL) & (bias_gap > TIE_TOL))
+        if np.array_equal(improved, transmit):
             break
-        policy = improved
+        transmit = improved
     else:
-        raise RuntimeError("bound policy improvement did not settle")
+        raise RuntimeError("bound policy iteration did not settle")
+    if np.ptp(gain) <= TIE_TOL:
+        residual = np.abs(gain + bias - q.max(axis=0)).max()
+        if residual > TIE_TOL:
+            raise RuntimeError(
+                f"bound policy leaves optimality-equation residual {residual!r}"
+            )
+    joint = np.repeat(transmit, 4).astype(float)
     return BoundResult(
-        value=value,
-        policy=policy,
-        occupancy=x,
-        transient=y,
-        iterations=solution.iterations,
+        value=float(gain.mean()),
+        policy=np.stack([1.0 - joint, joint], axis=1),
+        iterations=iterations,
         model=model,
     )
 
@@ -318,12 +312,12 @@ def upper_bound(model: TwoDeviceModel) -> BoundResult:
 def majority_policy(bound: BoundResult) -> dict[tuple[int, int], int]:
     """Vote the bound's policy down to the tracked device's view.
 
-    For each (l2, o) the higher-probability action is taken per joint state
-    (strictly above one half, ties to WAIT) and the majority across the
-    2^D peer masks wins, again with ties to WAIT.  Rows whose joint states
-    carry no occupancy mass vote with the greedy actions of the optimality
-    equations (see upper_bound), so the result does not depend on the LP's
-    pivot path.  Returns 0 for WAIT and 1 for TRANSMIT per (l2, o) key.
+    For each (l2, o) every joint state votes its action (TRANSMIT when its
+    transmit probability is strictly above one half) and the majority across
+    the 2^D peer masks wins, with ties to WAIT.  upper_bound's policy is the
+    greedy action of the optimality equations on every state, so the vote
+    depends on no solver path.  Returns 0 for WAIT and 1 for TRANSMIT per
+    (l2, o) key.
     """
     model = bound.model
     m = model.masks
@@ -379,7 +373,7 @@ def informed_optimum_lifetime1(params: TwoDeviceParams) -> float:
     the play decomposes per slot.  When only the agent holds a packet it
     transmits; when both hold one it picks the better of colliding-or-not:
     transmit earns (1-peer_transmit)*agent_success, waiting cedes the slot
-    for peer_transmit*peer_success.  This is what the LP bound must equal
+    for peer_transmit*peer_success.  This is what upper_bound must equal
     at lifetime 1, including where the best constant policy is strictly
     worse.
     """

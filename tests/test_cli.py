@@ -67,6 +67,19 @@ def test_upper_bound_reference_value(capsys):
     assert float(parse_kv(out)["bound"]) == pytest.approx(0.276, abs=1e-9)
 
 
+def test_upper_bound_notes_ignored_flags(capsys, tmp_path):
+    rc, out, err = run_cli(capsys, "upper-bound", "--lifetime", "1", "--seed", "3")
+    assert rc == 0 and "bound=" in out
+    assert err == "note: upper-bound ignores --seed\n"
+    rc, out, err = run_cli(
+        capsys, "upper-bound", "--lifetime", "1", "--seed", "3",
+        "--out", str(tmp_path / "unused.csv"),
+    )
+    assert rc == 0
+    assert err == "note: upper-bound ignores --seed and --out\n"
+    assert not (tmp_path / "unused.csv").exists()
+
+
 def test_upper_bound_rejects_large_lifetime(capsys):
     rc, out, err = run_cli(capsys, "upper-bound", "--lifetime", "5")
     assert rc == 1

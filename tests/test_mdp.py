@@ -1,11 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from dcra import mdp, simplex
 from dcra.experiments import ParamRanges, sample_params
 from dcra.mdp import (
     ALWAYS_IDLE,
     ALWAYS_TRANSMIT,
     TwoDeviceParams,
+    bound_program,
     build_mdp,
     constant_policy_throughput,
     informed_optimum_lifetime1,
@@ -13,6 +17,7 @@ from dcra.mdp import (
     optimal_constant_policy,
     upper_bound,
 )
+from dcra.simplex import solve_lp
 from oracles import one_slot_transition_mc, relative_value_iteration, vi_majority
 
 REF = TwoDeviceParams(0.5, 0.4, 0.7, 0.6, 0.4)
@@ -166,13 +171,13 @@ def test_occupancy_support_is_value_iteration_optimal():
     # states without mass take their action from the optimality equations
     # instead (see the all-rows test below)
     model = build_mdp(REF, 2)
-    res = upper_bound(model)
+    x = solve_lp(bound_program(model)).x[: 2 * model.n_states].reshape(-1, 2)
     gain, action_values = relative_value_iteration(
         model.transitions, model.rewards
     )
     for s in range(model.n_states):
         for a in (0, 1):
-            if res.occupancy[s, a] > 1e-10:
+            if x[s, a] > 1e-10:
                 assert action_values[s, a] >= action_values[s, 1 - a] - 1e-8, (
                     model.decode(s),
                     a,
@@ -187,7 +192,8 @@ def test_majority_policy_agrees_with_value_iteration_on_recurrent_rows():
         model.transitions, model.rewards
     )
     expected = vi_majority(model, action_values)
-    x_mass = res.occupancy.sum(axis=1)
+    x = solve_lp(bound_program(model)).x[: 2 * model.n_states].reshape(-1, 2)
+    x_mass = x.sum(axis=1)
     for l2 in range(model.masks):
         for o in range(4):
             if all(
@@ -211,6 +217,79 @@ def test_majority_policy_matches_value_iteration_on_every_row(lifetime, n_random
         assert majority_policy(upper_bound(model)) == vi_majority(
             model, action_values
         ), params
+
+
+@pytest.mark.parametrize(
+    "params, value",
+    [
+        # the dense simplex met a singular basis on both at D=2
+        ((0.9816872983219613, 0.0022859789189788593, 0.9626518987619347,
+          0.8930607519742237, 0.8995648359608155), 0.8640394),
+        ((0.03207083178596193, 0.0028255507531961266, 0.8171100875574389,
+          0.14411522325918635, 0.15440066569393596), 0.0081950),
+    ],
+)
+def test_bound_at_points_the_dense_simplex_failed(params, value):
+    model = build_mdp(TwoDeviceParams(*params), 2)
+    gain, _ = relative_value_iteration(model.transitions, model.rewards)
+    res = upper_bound(model)
+    assert res.value == pytest.approx(gain, abs=1e-9)
+    assert res.value == pytest.approx(value, abs=1e-7)
+
+
+@pytest.mark.parametrize("lifetime", [1, 2])
+def test_bound_matches_value_iteration_on_uniform_points(lifetime):
+    # uniform on [0, 1]^5 including probabilities near 0 and every 0/1
+    # corner, where the chain can split into several recurrent classes
+    rng = np.random.default_rng(500 + lifetime)
+    corners = [TwoDeviceParams(*c) for c in itertools.product((0.0, 1.0), repeat=5)]
+    for params in corners + [random_params(rng) for _ in range(60)]:
+        model = build_mdp(params, lifetime)
+        gain, action_values = relative_value_iteration(model.transitions, model.rewards)
+        res = upper_bound(model)
+        assert res.value == pytest.approx(gain, abs=1e-9), params
+        assert majority_policy(res) == vi_majority(model, action_values), params
+
+
+@pytest.mark.parametrize("lifetime, n_random", [(1, 5), (2, 5), (3, 2)])
+def test_bound_equals_lp_optimum(lifetime, n_random):
+    # two independent methods: policy iteration on the pair chain and the
+    # dual LP over the joint states
+    rng = np.random.default_rng(2000 + lifetime)
+    points = [sample_params(ParamRanges(), rng) for _ in range(n_random)]
+    for params in [REF] + points:
+        model = build_mdp(params, lifetime)
+        res = upper_bound(model)
+        lp_value = solve_lp(bound_program(model)).objective
+        assert res.value == pytest.approx(lp_value, abs=1e-9), params
+        assert np.isin(res.policy, (0.0, 1.0)).all()
+        per_pair = res.policy[:, 1].reshape(-1, 4)
+        assert (per_pair == per_pair[:, :1]).all(), params
+
+
+def test_bound_does_not_solve_the_lp(monkeypatch):
+    def refuse(program):
+        raise AssertionError("upper_bound called the simplex")
+
+    monkeypatch.setattr(mdp, "solve_lp", refuse)
+    monkeypatch.setattr(simplex, "solve_lp", refuse)
+    res = upper_bound(build_mdp(REF, 3))
+    assert res.value == pytest.approx(0.340142, abs=1e-6)
+    assert 1 <= res.iterations <= 5
+
+
+def test_bound_rejects_a_policy_off_the_optimality_equations(monkeypatch):
+    # a bias off by 1e-6 at one state leaves a residual far above TIE_TOL
+    evaluate = mdp._evaluate_policy
+
+    def skewed(P, r):
+        gain, bias = evaluate(P, r)
+        bias[1] += 1e-6
+        return gain, bias
+
+    monkeypatch.setattr(mdp, "_evaluate_policy", skewed)
+    with pytest.raises(RuntimeError, match="residual"):
+        upper_bound(build_mdp(REF, 2))
 
 
 def test_bound_policy_with_several_recurrent_classes():

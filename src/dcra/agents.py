@@ -117,29 +117,6 @@ class RewardSpec:
             return cls.two_level_shifted(float(text.split(":", 1)[1]))
         raise ValueError(f"unknown reward spec {text!r}")
 
-    def as_function(self):
-        """Plain-int fast path of reward_value for the per-slot loop."""
-        if self.kind is RewardKind.TWO_LEVEL:
-            return lambda obs, action, urgent: 1.0 if obs == 1 or obs == 2 else 0.0
-        if self.kind is RewardKind.TWO_LEVEL_SHIFTED:
-            shift = self.shift
-            return lambda obs, action, urgent: (1.0 if obs == 1 or obs == 2 else 0.0) - shift
-
-        def multi_level(obs: int, action: int, urgent: bool) -> float:
-            if obs == 3:
-                return -5.0 if action else 2.0
-            if obs == 0:
-                if action:
-                    raise ValueError("a sender cannot observe IDLE")
-                return -3.0 if urgent else 2.0
-            if obs == 1 and action:
-                raise ValueError("a sender cannot observe BUSY")
-            if obs == 2 and not action:
-                raise ValueError("only a sender can observe SUCCESSFUL")
-            return 10.0
-
-        return multi_level
-
 
 def reward_value(spec: RewardSpec, obs: int, action: int, urgent: bool) -> float:
     """Reward for the slot whose outcome was `obs`.
@@ -232,6 +209,10 @@ class TabularLearner:
     equal values resolve to WAIT.  One instance owns one exploration stream;
     step counting never resets, so epsilon keeps decaying across the whole
     life of the learner.
+
+    env.run performs the same select/update steps inline on `q` and writes
+    rho, steps and the epsilon state back; a change to either method must be
+    mirrored there (tests/oracles.py::reference_run checks the two agree).
     """
 
     def __init__(self, config: LearnerConfig, lifetime: int, rng) -> None:

@@ -18,6 +18,11 @@ device, one channel stream, then one policy stream per device.  Every stream
 is private to its purpose, so runs are reproducible bit for bit and adding
 consumers of one stream never perturbs the others.  The channel stream
 consumes exactly one uniform per slot whether or not anyone transmitted.
+
+The channel and arrival streams are drawn BLOCK slots at a time (one
+uniform or one Poisson count per slot), which yields the same sequence as
+drawing them slot by slot.  Policy streams take 0, 1 or 2 uniforms per slot,
+so they stay buffered in a UniformStream whose buffer the slot loop reads.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from dcra.agents import (
     RewardSpec,
     StateKind,
     TabularLearner,
+    reward_value,
 )
 from dcra.core import (
     Action,
@@ -64,6 +70,10 @@ LEARNER_KINDS = {
 }
 
 
+# slots per block of channel and arrival draws
+BLOCK = 4096
+
+
 class UniformStream:
     """Block-buffered scalar uniforms over one PCG64 generator.
 
@@ -83,10 +93,16 @@ class UniformStream:
     def random(self) -> float:
         pos = self._pos
         if pos >= len(self._buf):
-            self._buf = self._gen.random(self._block).tolist()
+            self._refill()
             pos = 0
         self._pos = pos + 1
         return self._buf[pos]
+
+    def _refill(self) -> list[float]:
+        """Replace the exhausted buffer with the next block; returns it."""
+        self._buf = self._gen.random(self._block).tolist()
+        self._pos = 0
+        return self._buf
 
 
 @dataclass(frozen=True)
@@ -149,6 +165,10 @@ class DeviceSetup:
         raise ValueError("blind device needs a transmit probability")
 
 
+# largest sender count of one slot that Metrics.senders (int16) holds
+MAX_DEVICES = int(np.iinfo(np.int16).max)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Everything that determines a run: devices, deadline, horizon, seed."""
@@ -165,9 +185,16 @@ class ScenarioConfig:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if not self.devices:
             raise ValueError("scenario needs at least one device")
+        if len(self.devices) > MAX_DEVICES:
+            raise ValueError(f"{len(self.devices)} devices exceed the {MAX_DEVICES} "
+                             "senders per slot that Metrics.senders can count")
         for dev in self.devices:
             if not dev.agent.is_learner:
                 dev.blind_transmit_prob()  # raises if unset
+            elif (dev.agent.learner_config().state_kind is StateKind.FULL
+                  and dev.params.arrival_kind is ArrivalKind.POISSON):
+                raise ValueError(f"{dev.agent.kind} cannot encode Poisson traffic: "
+                                 "stacked packets have no occupancy mask")
 
 
 @dataclass(frozen=True)
@@ -251,25 +278,18 @@ def resolve_slot(sent: list[bool], success_probs: list[float],
     return ApFeedback.NACK, None, [ChannelObservation.FAILED] * n
 
 
-def _encoder(kind: StateKind):
-    """Loop-friendly twin of agents.encode_state working on raw count lists."""
-    if kind is StateKind.FULL:
-        def enc(counts: list[int], obs: int) -> int:
-            mask = 0
-            for k, c in enumerate(counts):
-                if c:
-                    mask |= 1 << k
-            return (mask << 2) | obs
-    elif kind is StateKind.HOL:
-        def enc(counts: list[int], obs: int) -> int:
-            for k, c in enumerate(counts):
-                if c:
-                    return ((k + 1) << 2) | obs
-            return obs
-    else:
-        def enc(counts: list[int], obs: int) -> int:
-            return ((1 if counts[0] else 0) << 2) | obs
-    return enc
+def _reward_table(spec: RewardSpec) -> list[float | None]:
+    """reward_value over every (obs, physical action, urgent) cell, indexed
+    by obs*4 + action*2 + urgent; None marks a cell that cannot occur."""
+    table: list[float | None] = []
+    for obs in range(4):
+        for action in (0, 1):
+            for urgent in (False, True):
+                try:
+                    table.append(reward_value(spec, obs, action, urgent))
+                except ValueError:
+                    table.append(None)
+    return table
 
 
 def run(config: ScenarioConfig, trace: bool = False) -> RunResult:
@@ -279,158 +299,241 @@ def run(config: ScenarioConfig, trace: bool = False) -> RunResult:
     Learners update once per slot on (s_t, a_t, r, s_{t+1}); the reward sees
     the physical action, so a TRANSMIT chosen on an empty queue scores as the
     WAIT it actually was.
+
+    The slot loop is the inlined form of the single-step API: it reads the
+    policy streams' buffers directly, acts and learns on each learner's own
+    q list, and keeps every queue as a bitmask of occupied buckets (bit k
+    set when a packet expires k+1 slots from now).  Poisson queues keep
+    their per-bucket counts next to that mask.  The learners returned are in
+    the state that select()/update() calls on the same slots would leave.
     """
     devices = config.devices
     n = len(devices)
     horizon = config.horizon
+    lifetime = config.lifetime
+    top = lifetime - 1
 
     seed_seq = np.random.SeedSequence(config.seed)
     children = seed_seq.spawn(2 * n + 1)
-    channel = UniformStream(children[n])
+    arrival_gens = [np.random.default_rng(children[i]) for i in range(n)]
+    channel_gen = np.random.default_rng(children[n])
 
-    arrival_streams: list = []
-    bernoulli_rate: list[float | None] = []
-    for i, dev in enumerate(devices):
-        if dev.params.arrival_kind is ArrivalKind.BERNOULLI:
-            arrival_streams.append(UniformStream(children[i]))
-            bernoulli_rate.append(dev.params.arrival_rate)
-        else:
-            arrival_streams.append(np.random.default_rng(children[i]))
-            bernoulli_rate.append(None)
+    rates = [dev.params.arrival_rate for dev in devices]
+    poisson = [dev.params.arrival_kind is ArrivalKind.POISSON for dev in devices]
+    success = [dev.params.success_prob for dev in devices]
+    masks = [0] * n
+    # a Poisson bucket can stack packets, so those queues also keep their
+    # counts; the mask then marks the non-empty buckets
+    pqueues = [LeadTimeQueue.empty(lifetime) if p else None for p in poisson]
 
-    success_probs = [dev.params.success_prob for dev in devices]
-    queues = [LeadTimeQueue.empty(config.lifetime) for _ in range(n)]
-    counts = [q.counts for q in queues]
-    totals = [0] * n
-    obs = [0] * n  # ChannelObservation codes, IDLE at slot 1
+    streams = [UniformStream(children[n + 1 + i]) for i in range(n)]
+    pbuf = [s._buf for s in streams]
+    ppos = [s._pos for s in streams]
 
+    # per-device constants, unpacked by the loops below
+    blind_act: list[tuple] = []
+    blind_close: list[tuple] = []
+    learn_act: list[tuple] = []
+    learn_close: list[tuple] = []
     learners: list[TabularLearner | None] = []
-    blind_prob: list[float] = []
-    reward_fns: list = []
-    outcome_timing: list[bool] = []
-    encoders: list = []
-    states: list[int] = []
-    policy: list[UniformStream] = []
+    eps = [0.0] * n
+    rhos = [0.0] * n
     for i, dev in enumerate(devices):
-        stream = UniformStream(children[n + 1 + i])
-        policy.append(stream)
-        if dev.agent.is_learner:
-            learner = TabularLearner(dev.agent.learner_config(), config.lifetime, stream)
-            learners.append(learner)
-            blind_prob.append(0.0)
-            reward_fns.append(dev.agent.reward.as_function())
-            outcome_timing.append(dev.agent.reward_timing == "outcome")
-            enc = _encoder(dev.agent.learner_config().state_kind)
-            encoders.append(enc)
-            states.append(enc(counts[i], 0))
-        else:
+        if not dev.agent.is_learner:
             learners.append(None)
-            blind_prob.append(dev.blind_transmit_prob())
-            reward_fns.append(None)
-            outcome_timing.append(True)
-            encoders.append(None)
-            states.append(0)
+            blind_act.append((i, dev.blind_transmit_prob(), streams[i]))
+            blind_close.append((i, pqueues[i]))
+            continue
+        cfg = dev.agent.learner_config()
+        learner = TabularLearner(cfg, lifetime, streams[i])
+        learners.append(learner)
+        eps[i] = learner._epsilon
+        rhos[i] = learner.rho
+        learn_act.append((i, learner.q, cfg.epsilon_floor, cfg.epsilon_decay, streams[i]))
+        learn_close.append((
+            i, learner.q, pqueues[i], cfg.state_kind, _reward_table(cfg.reward),
+            cfg.reward_timing == "outcome", cfg.algorithm == "r",
+            cfg.step_size, cfg.gain_step_size, cfg.discount,
+        ))
+
+    # a state s is kept doubled, as 2*s, the index of its WAIT value in the
+    # q list, so that 2*s + a indexes the value of taking action a; every
+    # device starts empty with an IDLE observation, i.e. in state 0
+    states = [0] * n
+    chosen = [0] * n  # q index of the action each learner took this slot
+    sent = [False] * n
+    tiny, hol = StateKind.TINY, StateKind.HOL
 
     delivered_arr = np.zeros(horizon, dtype=np.uint8)
     senders_arr = np.zeros(horizon, dtype=np.int16)
     records: list[SlotRecord] | None = [] if trace else None
     deliveries_cum = 0
     transmissions_cum = 0
+    backlog = [0] * n
+    # the feedback of a slot, indexed by what its non-winners observe
+    feedbacks = (ApFeedback.NOTHING, ApFeedback.ACK, None, ApFeedback.NACK)
 
-    sent = [False] * n
-    actions = [0] * n
-    idx = list(range(n))
+    for t0 in range(0, horizon, BLOCK):
+        m_len = min(BLOCK, horizon - t0)
+        chan = channel_gen.random(m_len).tolist()
+        arrs = [
+            gen.poisson(rate, m_len).tolist() if pois
+            else (gen.random(m_len) < rate).view(np.uint8).tolist()
+            for gen, rate, pois in zip(arrival_gens, rates, poisson)
+        ]
+        blk_delivered = [0] * m_len
+        blk_senders = [0] * m_len
 
-    for t in range(horizon):
-        n_send = 0
-        lone = -1
-        for i in idx:
-            learner = learners[i]
-            if learner is None:
-                if totals[i] and policy[i].random() < blind_prob[i]:
+        for j in range(m_len):
+            n_send = 0
+            lone = -1
+            for i, prob, stream in blind_act:
+                if masks[i]:
+                    buf = pbuf[i]
+                    pos = ppos[i]
+                    if pos >= len(buf):
+                        buf = pbuf[i] = stream._refill()
+                        pos = 0
+                    ppos[i] = pos + 1
+                    if buf[pos] < prob:
+                        sent[i] = True
+                        n_send += 1
+                        lone = i
+                        continue
+                sent[i] = False
+            for i, q, floor, decay, stream in learn_act:
+                # epsilon-greedy select
+                e = eps[i]
+                if e < floor:
+                    e = floor
+                else:
+                    eps[i] = e * decay
+                buf = pbuf[i]
+                pos = ppos[i]
+                if pos >= len(buf):
+                    buf = pbuf[i] = stream._refill()
+                    pos = 0
+                s = states[i]
+                if buf[pos] < e:
+                    pos += 1
+                    if pos >= len(buf):
+                        buf = pbuf[i] = stream._refill()
+                        pos = 0
+                    a = 1 if buf[pos] < 0.5 else 0
+                else:
+                    a = 1 if q[s + 1] > q[s] else 0
+                ppos[i] = pos + 1
+                chosen[i] = s + a
+                if a and masks[i]:
                     sent[i] = True
                     n_send += 1
                     lone = i
                 else:
                     sent[i] = False
+
+            # o_all is what every device but the winner observes: IDLE,
+            # BUSY after a decoded slot, FAILED after a NACK
+            if n_send == 0:
+                o_all = 0
+                winner = -1
+            elif n_send == 1 and chan[j] < success[lone]:
+                o_all = 1
+                winner = lone
+                blk_delivered[j] = 1
             else:
-                a = learner.select(states[i])
-                actions[i] = a
-                if a and totals[i]:
-                    sent[i] = True
-                    n_send += 1
-                    lone = i
+                o_all = 3
+                winner = -1
+            blk_senders[j] = n_send
+
+            # close out the slot: delivery, expiry, shift, arrivals
+            for i, pq in blind_close:
+                m = masks[i]
+                a = arrs[i][j]
+                if pq is None:
+                    if i == winner:
+                        m &= m - 1
+                    masks[i] = (m >> 1) | (a << top)
                 else:
-                    sent[i] = False
+                    if i == winner and pq.counts[(m & -m).bit_length() - 1] == 1:
+                        m &= m - 1
+                    pq.advance(i == winner, a)
+                    masks[i] = (m >> 1) | ((a > 0) << top)
+            for i, q, pq, kind, table, outcome, average, step, gain_step, discount in learn_close:
+                m = masks[i]
+                urgent = m & 1
+                a = arrs[i][j]
+                if pq is None:
+                    if i == winner:
+                        m &= m - 1
+                    m = (m >> 1) | (a << top)
+                else:
+                    if i == winner and pq.counts[(m & -m).bit_length() - 1] == 1:
+                        m &= m - 1
+                    pq.advance(i == winner, a)
+                    m = (m >> 1) | ((a > 0) << top)
+                masks[i] = m
+                o2 = 2 if i == winner else o_all
+                if kind is tiny:
+                    ns = ((m & 1) << 3) | (o2 << 1)
+                elif kind is hol:
+                    ns = ((m & -m).bit_length() << 3) | (o2 << 1)
+                else:
+                    ns = (m << 3) | (o2 << 1)
+                k = chosen[i]
+                # observation timing scores the observation held in s_t
+                o_r = o2 if outcome else (k >> 1) & 3
+                reward = table[(o_r << 2) | (sent[i] << 1) | urgent]
+                if reward is None:
+                    raise ValueError(f"no reward for observation {o_r} after action "
+                                     f"{int(sent[i])}: that pair cannot occur")
+                # one-step update on (s, a, r, s')
+                best_next = q[ns + 1] if q[ns + 1] > q[ns] else q[ns]
+                if average:
+                    delta = reward + best_next - q[k] - rhos[i]
+                    q[k] += step * delta
+                    rhos[i] += gain_step * delta
+                else:
+                    q[k] += step * (reward + discount * best_next - q[k])
+                states[i] = ns
 
-        u = channel.random()
-        if n_send == 0:
-            mode = 0  # idle everywhere
-            winner = -1
-        elif n_send == 1 and u < success_probs[lone]:
-            mode = 1  # decoded
-            winner = lone
-        else:
-            mode = 2  # collision or channel loss
-            winner = -1
-
-        slot_arrivals = None
-        slot_expired = None
-        if records is not None:
-            slot_arrivals = [0] * n
-            slot_expired = [0] * n
-
-        for i in idx:
-            rate = bernoulli_rate[i]
-            if rate is None:
-                arrivals = int(arrival_streams[i].poisson(devices[i].params.arrival_rate))
-            else:
-                arrivals = 1 if arrival_streams[i].random() < rate else 0
-            if mode == 0:
-                o2 = 0
-            elif mode == 2:
-                o2 = 3
-            else:
-                o2 = 2 if i == winner else 1
-            learner = learners[i]
-            if learner is None:
-                expired = queues[i].advance(i == winner, arrivals)
-            else:
-                urgent = counts[i][0] > 0
-                expired = queues[i].advance(i == winner, arrivals)
-                next_state = encoders[i](counts[i], o2)
-                reward = reward_fns[i](
-                    o2 if outcome_timing[i] else obs[i],
-                    1 if sent[i] else 0,
-                    urgent,
-                )
-                learner.update(states[i], actions[i], reward, next_state)
-                states[i] = next_state
-            totals[i] += arrivals - (1 if i == winner else 0) - expired
-            obs[i] = o2
             if records is not None:
-                slot_arrivals[i] = arrivals
-                slot_expired[i] = expired
+                # expiries follow from conservation: backlog before, plus
+                # arrivals, minus the delivery, minus backlog after
+                slot_arrivals = tuple(a[j] for a in arrs)
+                before = backlog
+                backlog = [
+                    masks[i].bit_count() if pqueues[i] is None else pqueues[i].total()
+                    for i in range(n)
+                ]
+                deliveries_cum += blk_delivered[j]
+                transmissions_cum += n_send
+                records.append(SlotRecord(
+                    slot=t0 + j + 1,
+                    sent=tuple(sent),
+                    feedback=feedbacks[o_all],
+                    winner=winner if winner >= 0 else None,
+                    observations=tuple(2 if i == winner else o_all for i in range(n)),
+                    arrivals=slot_arrivals,
+                    expired=tuple(
+                        before[i] + slot_arrivals[i] - (i == winner) - backlog[i]
+                        for i in range(n)
+                    ),
+                    backlog=tuple(backlog),
+                    deliveries_cum=deliveries_cum,
+                    transmissions_cum=transmissions_cum,
+                ))
 
-        if mode == 1:
-            delivered_arr[t] = 1
-            deliveries_cum += 1
-        senders_arr[t] = n_send
-        transmissions_cum += n_send
+        delivered_arr[t0:t0 + m_len] = blk_delivered
+        senders_arr[t0:t0 + m_len] = blk_senders
 
-        if records is not None:
-            records.append(SlotRecord(
-                slot=t + 1,
-                sent=tuple(sent),
-                feedback=(ApFeedback.NOTHING, ApFeedback.ACK, ApFeedback.NACK)[mode],
-                winner=winner if winner >= 0 else None,
-                observations=tuple(obs),
-                arrivals=tuple(slot_arrivals),
-                expired=tuple(slot_expired),
-                backlog=tuple(totals),
-                deliveries_cum=deliveries_cum,
-                transmissions_cum=transmissions_cum,
-            ))
+    for i, learner in enumerate(learners):
+        if learner is not None:
+            learner.rho = rhos[i]
+            learner.steps += horizon
+            learner._epsilon = eps[i]
+    for i, stream in enumerate(streams):
+        stream._buf = pbuf[i]
+        stream._pos = ppos[i]
 
     return RunResult(
         config=config,

@@ -180,7 +180,7 @@ def run_sweep(
     with_bound: bool = False,
     out_path: str | None = None,
 ) -> SweepResult:
-    """Random-group comparison of agents (and optionally the LP bound).
+    """Random-group comparison of agents (and optionally the exact bound).
 
     One parameter tuple per (lifetime, group); every agent sees the same
     scenario seed within a group so their arrival and channel randomness

@@ -9,6 +9,10 @@ from itertools import combinations
 
 import numpy as np
 
+from dcra.agents import TabularLearner, encode_state, reward_value
+from dcra.core import ApFeedback, ArrivalKind, LeadTimeQueue
+from dcra.env import Metrics, RunResult, SlotRecord, UniformStream
+
 
 def one_slot_transition_mc(params, lifetime, l1, l2, action, n_samples, seed):
     """Empirical one-slot transition counts for the two-device chain.
@@ -109,3 +113,134 @@ def enumerate_lp_max(c, A, b):
         if best is None or value > best[0]:
             best = (value, x)
     return best
+
+
+def reference_run(config, trace=False):
+    """Slot-by-slot twin of dcra.env.run through the single-step API.
+
+    Every draw goes through UniformStream.random or Generator.poisson one
+    slot at a time, queues are LeadTimeQueue objects advanced by their own
+    method, learners act through select/update on states from encode_state,
+    and rewards come from reward_value.  Same streams, same draw order, so
+    run() must reproduce its metrics, trace and learners exactly.
+    """
+    devices = config.devices
+    n = len(devices)
+    horizon = config.horizon
+
+    seed_seq = np.random.SeedSequence(config.seed)
+    children = seed_seq.spawn(2 * n + 1)
+    channel = UniformStream(children[n])
+
+    arrival_streams = []
+    bernoulli_rate = []
+    for i, dev in enumerate(devices):
+        if dev.params.arrival_kind is ArrivalKind.BERNOULLI:
+            arrival_streams.append(UniformStream(children[i]))
+            bernoulli_rate.append(dev.params.arrival_rate)
+        else:
+            arrival_streams.append(np.random.default_rng(children[i]))
+            bernoulli_rate.append(None)
+
+    success_probs = [dev.params.success_prob for dev in devices]
+    queues = [LeadTimeQueue.empty(config.lifetime) for _ in range(n)]
+    obs = [0] * n
+
+    learners = []
+    blind_prob = []
+    states = []
+    policy = []
+    for i, dev in enumerate(devices):
+        stream = UniformStream(children[n + 1 + i])
+        policy.append(stream)
+        if dev.agent.is_learner:
+            cfg = dev.agent.learner_config()
+            learners.append(TabularLearner(cfg, config.lifetime, stream))
+            blind_prob.append(0.0)
+            states.append(encode_state(cfg.state_kind, queues[i], 0))
+        else:
+            learners.append(None)
+            blind_prob.append(dev.blind_transmit_prob())
+            states.append(0)
+
+    delivered_arr = np.zeros(horizon, dtype=np.uint8)
+    senders_arr = np.zeros(horizon, dtype=np.int16)
+    records = [] if trace else None
+    deliveries_cum = 0
+    transmissions_cum = 0
+    sent = [False] * n
+    actions = [0] * n
+
+    for t in range(horizon):
+        for i in range(n):
+            learner = learners[i]
+            nonempty = not queues[i].is_empty
+            if learner is None:
+                sent[i] = nonempty and policy[i].random() < blind_prob[i]
+            else:
+                actions[i] = learner.select(states[i])
+                sent[i] = bool(actions[i]) and nonempty
+        n_send = sum(sent)
+        lone = sent.index(True) if n_send == 1 else -1
+
+        u = channel.random()
+        if n_send == 0:
+            mode, winner = 0, -1
+        elif n_send == 1 and u < success_probs[lone]:
+            mode, winner = 1, lone
+        else:
+            mode, winner = 2, -1
+
+        slot_arrivals = [0] * n
+        slot_expired = [0] * n
+        for i in range(n):
+            rate = bernoulli_rate[i]
+            if rate is None:
+                arrivals = int(arrival_streams[i].poisson(devices[i].params.arrival_rate))
+            else:
+                arrivals = 1 if arrival_streams[i].random() < rate else 0
+            o2 = (0, 2 if i == winner else 1, 3)[mode]
+            urgent = queues[i].urgent()
+            expired = queues[i].advance(i == winner, arrivals)
+            learner = learners[i]
+            if learner is not None:
+                cfg = learner.config
+                next_state = encode_state(cfg.state_kind, queues[i], o2)
+                reward = reward_value(
+                    cfg.reward,
+                    o2 if cfg.reward_timing == "outcome" else obs[i],
+                    1 if sent[i] else 0,
+                    urgent,
+                )
+                learner.update(states[i], actions[i], reward, next_state)
+                states[i] = next_state
+            obs[i] = o2
+            slot_arrivals[i] = arrivals
+            slot_expired[i] = expired
+
+        if mode == 1:
+            delivered_arr[t] = 1
+            deliveries_cum += 1
+        senders_arr[t] = n_send
+        transmissions_cum += n_send
+
+        if records is not None:
+            records.append(SlotRecord(
+                slot=t + 1,
+                sent=tuple(sent),
+                feedback=(ApFeedback.NOTHING, ApFeedback.ACK, ApFeedback.NACK)[mode],
+                winner=winner if winner >= 0 else None,
+                observations=tuple(obs),
+                arrivals=tuple(slot_arrivals),
+                expired=tuple(slot_expired),
+                backlog=tuple(q.total() for q in queues),
+                deliveries_cum=deliveries_cum,
+                transmissions_cum=transmissions_cum,
+            ))
+
+    return RunResult(
+        config=config,
+        metrics=Metrics(delivered=delivered_arr, senders=senders_arr),
+        learners=tuple(learners),
+        trace=records,
+    )

@@ -5,7 +5,12 @@ import json
 
 import pytest
 
-from dcra.cli import build_parser, main
+from dcra import experiments
+from dcra.agents import RewardSpec
+from dcra.cli import DEFAULTS, build_parser, main
+from dcra.env import write_trace_csv
+from dcra.mdp import TwoDeviceParams
+from oracles import reference_run
 
 
 def run_cli(capsys, *argv):
@@ -54,6 +59,25 @@ def test_simulate_trace_output(capsys, tmp_path):
         rows = list(csv.reader(fh))
     assert len(rows) == 51
     assert rows[0][0] == "slot"
+
+
+def test_simulate_trace_matches_reference_run(capsys, tmp_path):
+    # the CLI trace goes through run(); the slot-by-slot reference on the
+    # same scenario must write the same bytes
+    trace = tmp_path / "trace.csv"
+    rc, _, err = run_cli(
+        capsys, "simulate", "--agent", "r-hol", "--lifetime", "3", "--slots", "3000",
+        "--seed", "5", "--trace-out", str(trace),
+    )
+    assert rc == 0 and err == ""
+    defaults = DEFAULTS["simulate"]
+    params = TwoDeviceParams(*(defaults[k] for k in (
+        "peer_arrival", "agent_arrival", "peer_success", "agent_success", "peer_transmit")))
+    cfg = experiments._two_device_config(params, 3, "r-hol", 3000, seed=5,
+                                         reward=RewardSpec.parse(defaults["reward"]))
+    reference = tmp_path / "reference.csv"
+    write_trace_csv(reference_run(cfg, trace=True), str(reference))
+    assert trace.read_bytes() == reference.read_bytes()
 
 
 def test_upper_bound_reference_value(capsys):

@@ -2,10 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from dcra.agents import RewardSpec, encode_state, reward_value
+from dcra import env
+from dcra.agents import RewardSpec, reward_value
 from dcra.core import Action, ApFeedback, ArrivalKind, ChannelObservation, DeviceParams
 from dcra.env import (
+    BLOCK,
+    LEARNER_KINDS,
+    MAX_DEVICES,
     AgentSpec,
     DeviceSetup,
     Metrics,
@@ -15,6 +21,7 @@ from dcra.env import (
     run,
     write_trace_csv,
 )
+from oracles import reference_run
 
 IDLE = ChannelObservation.IDLE
 BUSY = ChannelObservation.BUSY
@@ -122,7 +129,7 @@ class TestRunBasics:
                 DeviceSetup(DeviceParams(0.55, 0.7), AgentSpec.learner("q-full", RewardSpec.two_level_shifted(0.3))),
             ),
         )
-        run(cfg)  # raising inside a reward closure would fail the test
+        run(cfg)  # reaching an impossible reward cell would raise
 
 
 class TestTraceInvariants:
@@ -238,25 +245,6 @@ class TestMetrics:
         assert len(m.throughput_series(5)) == 2
 
 
-class TestEncoderFastPath:
-    def test_matches_reference_encoder(self):
-        from dcra.agents import StateKind
-        from dcra.core import LeadTimeQueue
-        from dcra.env import _encoder
-
-        rng = np.random.default_rng(8)
-        for kind in StateKind:
-            enc = _encoder(kind)
-            for _ in range(200):
-                lifetime = int(rng.integers(1, 7))
-                counts = [int(x) for x in rng.integers(0, 2, size=lifetime)]
-                if not any(counts) and rng.random() < 0.5:
-                    counts[0] = 1
-                q = LeadTimeQueue(list(counts))
-                obs = int(rng.integers(4))
-                assert enc(counts, obs) == encode_state(kind, q, obs)
-
-
 class TestValidation:
     def test_scenario_checks(self):
         dev = blind_device(0.5, 0.5, 0.5)
@@ -279,9 +267,140 @@ class TestValidation:
         with pytest.raises(ValueError):
             AgentSpec.blind(1.5)
 
+    def test_full_state_rejects_poisson_traffic(self):
+        # stacked Poisson packets have no occupancy mask to encode
+        poisson = DeviceParams(1.5, 0.5, arrival_kind=ArrivalKind.POISSON)
+        for kind in ("r-full", "q-full"):
+            with pytest.raises(ValueError, match="Poisson"):
+                ScenarioConfig(lifetime=2, horizon=10, seed=0,
+                               devices=(DeviceSetup(poisson, AgentSpec.learner(kind)),))
+        for kind in ("r-hol", "q-tiny"):
+            ScenarioConfig(lifetime=2, horizon=10, seed=0,
+                           devices=(DeviceSetup(poisson, AgentSpec.learner(kind)),))
+
+    def test_device_count_fits_senders_dtype(self):
+        # builds the configs only: nothing is simulated
+        dev = blind_device(0.5, 0.5, 0.5)
+        ScenarioConfig(lifetime=1, horizon=1, seed=0, devices=(dev,) * MAX_DEVICES)
+        with pytest.raises(ValueError, match="senders"):
+            ScenarioConfig(lifetime=1, horizon=1, seed=0, devices=(dev,) * (MAX_DEVICES + 1))
+
     def test_trace_required_for_csv(self, tmp_path):
         cfg = ScenarioConfig(lifetime=1, horizon=10, seed=0,
                              devices=(blind_device(0.5, 0.5, 0.5),))
         res = run(cfg)
         with pytest.raises(ValueError):
             write_trace_csv(res, str(tmp_path / "x.csv"))
+
+
+class TestRewardTable:
+    CELLS = [(o, a, u) for o in range(4) for a in (0, 1) for u in (False, True)]
+
+    def test_cells_match_reward_value(self):
+        specs = [RewardSpec.two_level(), RewardSpec.two_level_shifted(0.45),
+                 RewardSpec.multi_level()]
+        for spec in specs:
+            table = env._reward_table(spec)
+            assert len(table) == 16
+            for obs, action, urgent in self.CELLS:
+                cell = table[obs * 4 + action * 2 + urgent]
+                try:
+                    expected = reward_value(spec, obs, action, urgent)
+                except ValueError:
+                    assert cell is None
+                else:
+                    assert cell == expected
+        impossible = [c for c, r in zip(self.CELLS, env._reward_table(RewardSpec.multi_level()))
+                      if r is None]
+        assert [(o, a) for o, a, _ in impossible] == [(0, 1), (0, 1), (1, 1), (1, 1),
+                                                      (2, 0), (2, 0)]
+
+    def test_impossible_cell_raises_in_run(self, monkeypatch):
+        monkeypatch.setattr(env, "_reward_table", lambda spec: [None] * 16)
+        cfg = ScenarioConfig(
+            lifetime=1, horizon=10, seed=0,
+            devices=(DeviceSetup(DeviceParams(0.5, 0.5), AgentSpec.learner("r-tiny")),),
+        )
+        with pytest.raises(ValueError, match="cannot occur"):
+            run(cfg)
+
+
+# horizons around the block of channel and arrival draws; two blocks of
+# slots also run a learner's policy stream past its first 8192-draw buffer
+HORIZONS = (1, 2, 3, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK)
+REWARDS = (RewardSpec.two_level(), RewardSpec.two_level_shifted(0.3), RewardSpec.multi_level())
+# probabilities on a grid including 0 and 1: raw floats would mostly be edge
+# values such as 5e-324, which leave the channel silent
+unit = st.integers(0, 10).map(lambda k: k / 10)
+
+
+@st.composite
+def devices(draw):
+    poisson = draw(st.booleans())
+    if poisson:
+        params = DeviceParams(draw(st.integers(0, 30)) / 10, draw(unit),
+                              arrival_kind=ArrivalKind.POISSON)
+    else:
+        params = DeviceParams(draw(unit), draw(unit))
+    kinds = ["blind"] + [k for k in LEARNER_KINDS if not (poisson and k.endswith("full"))]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "blind":
+        return DeviceSetup(params, AgentSpec.blind(draw(unit)))
+    reward = draw(st.sampled_from(REWARDS))
+    timings = ["outcome"] if reward == RewardSpec.multi_level() else ["outcome", "observation"]
+    return DeviceSetup(params, AgentSpec.learner(kind, reward, draw(st.sampled_from(timings))))
+
+
+@st.composite
+def scenarios(draw):
+    return ScenarioConfig(
+        lifetime=draw(st.integers(1, 6)),
+        horizon=draw(st.sampled_from(HORIZONS)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        devices=tuple(draw(st.lists(devices(), min_size=1, max_size=4))),
+    )
+
+
+class TestRunMatchesReference:
+    """run() is the slot-by-slot reference loop, bit for bit.
+
+    The reference hands each learner encode_state of its LeadTimeQueue, so
+    equal q tables also check the bitmask state encoding of run().  Every
+    scenario runs both untraced and traced.
+    """
+
+    @staticmethod
+    def assert_same_run(got, want):
+        for name in ("delivered", "senders"):
+            a, b = getattr(got.metrics, name), getattr(want.metrics, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert len(got.learners) == len(want.learners)
+        for a, b in zip(got.learners, want.learners):
+            assert (a is None) == (b is None)
+            if a is None:
+                continue
+            assert a.q == b.q
+            assert a.rho == b.rho
+            assert a.steps == b.steps
+            assert a.epsilon() == b.epsilon()
+            # the exploration streams stand at the same position
+            assert [a.rng.random() for _ in range(3)] == [b.rng.random() for _ in range(3)]
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(config=scenarios())
+    # at seed 105 the learner explores on the last uniform of its first
+    # policy buffer (slot 7915), so its second draw comes from a refill
+    @example(config=ScenarioConfig(
+        lifetime=2, horizon=2 * BLOCK, seed=105,
+        devices=(DeviceSetup(DeviceParams(0.5, 0.5), AgentSpec.learner("r-tiny")),),
+    ))
+    def test_run_matches_reference_run(self, config):
+        want = reference_run(config, trace=True)
+        traced = run(config, trace=True)
+        assert traced.trace == want.trace
+        assert [repr(r) for r in traced.trace] == [repr(r) for r in want.trace]
+        self.assert_same_run(traced, want)
+        untraced = run(config)
+        assert untraced.trace is None
+        self.assert_same_run(untraced, reference_run(config))

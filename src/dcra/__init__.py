@@ -13,7 +13,6 @@ from dcra.core import (
     ChannelObservation,
     DeviceParams,
     LeadTimeQueue,
-    draw_arrivals,
 )
 
 __version__ = "0.1.0"
@@ -25,6 +24,5 @@ __all__ = [
     "ChannelObservation",
     "DeviceParams",
     "LeadTimeQueue",
-    "draw_arrivals",
     "__version__",
 ]

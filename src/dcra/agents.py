@@ -21,7 +21,6 @@ __all__ = [
     "RewardSpec",
     "StateKind",
     "TabularLearner",
-    "blind_transmit",
     "encode_state",
     "epsilon_at",
     "policy_rows",
@@ -269,14 +268,6 @@ class TabularLearner:
     def q_table(self) -> np.ndarray:
         """Copy of the action values as an (n_states, 2) array."""
         return np.asarray(self.q, dtype=float).reshape(self.n_states, 2)
-
-
-def blind_transmit(queue_empty: bool, transmit_prob: float, u: float) -> int:
-    """Blind retransmission rule: send the head-of-line packet with fixed
-    probability whenever the queue is non-empty.  `u` is a uniform draw."""
-    if queue_empty:
-        return Action.WAIT
-    return Action.TRANSMIT if u < transmit_prob else Action.WAIT
 
 
 def state_payload(kind: StateKind, lifetime: int, state: int) -> tuple[str, str]:

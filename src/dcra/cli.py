@@ -216,7 +216,7 @@ def _ranges(opts: dict) -> experiments.ParamRanges:
 
 
 def _cmd_simulate(opts: dict) -> int:
-    cfg = experiments._two_device_config(
+    cfg = experiments.two_device_config(
         _pair_params(opts), opts["lifetime"], opts["agent"], opts["slots"],
         seed=opts["seed"],
         agent_transmit=opts["agent_transmit"],
@@ -309,7 +309,7 @@ def _cmd_convergence(opts: dict) -> int:
 
 def _cmd_policy_dump(opts: dict) -> int:
     out = _out_path(opts, "policy.csv")
-    cfg = experiments._two_device_config(
+    cfg = experiments.two_device_config(
         _pair_params(opts), opts["lifetime"], opts["agent"], opts["slots"],
         seed=opts["seed"], reward=RewardSpec.parse(opts["reward"]),
     )

@@ -11,8 +11,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-import numpy as np
-
 __all__ = [
     "Action",
     "ApFeedback",
@@ -20,7 +18,6 @@ __all__ = [
     "ChannelObservation",
     "DeviceParams",
     "LeadTimeQueue",
-    "draw_arrivals",
 ]
 
 
@@ -88,13 +85,6 @@ class DeviceParams:
             raise ValueError(f"success_prob {self.success_prob} outside [0, 1]")
         if self.transmit_prob is not None and not 0.0 <= self.transmit_prob <= 1.0:
             raise ValueError(f"transmit_prob {self.transmit_prob} outside [0, 1]")
-
-
-def draw_arrivals(params: DeviceParams, rng: np.random.Generator) -> int:
-    """Number of packets arriving in one slot (0/1 for Bernoulli traffic)."""
-    if params.arrival_kind is ArrivalKind.BERNOULLI:
-        return 1 if rng.random() < params.arrival_rate else 0
-    return int(rng.poisson(params.arrival_rate))
 
 
 @dataclass

@@ -1,9 +1,13 @@
 """Experiment orchestration: parameter sweeps, convergence series, exports.
 
-Each experiment samples its scenarios from a master seed, runs strictly
-sequentially (group-level fan-out would be safe, nothing here shares state,
-but reproducibility of the written CSV matters more than wall clock), and
-writes CSV rows whose parameter columns always appear in the fixed order
+Each experiment samples its scenarios from a master seed and builds every
+ScenarioConfig first, in the parent process and in a fixed draw order.  The
+runs themselves share no state and each seeds itself from its config, so
+they go to one worker process per CPU in the affinity mask (in-process when
+there is one CPU or one run) and come back in input order; the written
+bytes do not depend on the CPU count.  Exact bounds are computed in the
+parent.  CSV rows have parameter columns that always appear in the fixed
+order
 
     peer_arrival, agent_arrival, peer_success, agent_success,
     peer_transmit, lifetime, peer_count, agent_count
@@ -17,14 +21,19 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass
+from functools import partial
+from typing import TypeVar
 
 import numpy as np
 
 from .agents import RewardSpec
 from .core import DeviceParams
-from .env import AgentSpec, DeviceSetup, Metrics, ScenarioConfig, run
+from .env import AgentSpec, DeviceSetup, ScenarioConfig, run
 from .mdp import TwoDeviceParams, build_mdp, upper_bound
+
+T = TypeVar("T")
 
 __all__ = [
     "ParamRanges",
@@ -35,6 +44,7 @@ __all__ = [
     "run_sweep",
     "sample_params",
     "simulate_two_device",
+    "two_device_config",
 ]
 
 PARAM_COLUMNS = [
@@ -121,7 +131,61 @@ def _mean_row(label: str, rows: list[list]) -> list:
     return out
 
 
-def _two_device_config(
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _RunFailed(RuntimeError):
+    """A run of `_run_all` raised; `index` is its position in the input."""
+
+    def __init__(self, index: int, config: ScenarioConfig, exc: Exception) -> None:
+        super().__init__(f"run at seed {config.seed} failed: {exc}")
+        self.index = index
+
+
+def _window_stats(cfg: ScenarioConfig, window: int | None) -> tuple[float, float]:
+    """(throughput, power) of one run over its last `window` slots."""
+    metrics = run(cfg).metrics
+    return metrics.timely_throughput(window), metrics.power(window)
+
+
+def _throughput_series(cfg: ScenarioConfig, window: int) -> list[float]:
+    return run(cfg).metrics.throughput_series(window).tolist()
+
+
+def _run_all(task: Callable[[ScenarioConfig], T], configs: list[ScenarioConfig]) -> list[T]:
+    """task(config) for every config, in input order, on one process per CPU.
+
+    Each run seeds itself from its config, so where a task executes changes
+    nothing in its result.  `task` must pickle (a module-level function or a
+    partial of one) and reduce the run to what the caller keeps: a run's
+    per-slot Metrics are 3 bytes a slot, too much to hold for every run of a
+    sweep.  The first failing task, in input order, raises `_RunFailed`
+    chained to its exception.
+    """
+    workers = min(len(configs), _cpu_count())
+    if workers <= 1:
+        return _collect(configs, map(task, configs))
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers) as pool:
+        return _collect(configs, pool.map(task, configs))
+
+
+def _collect(configs: list[ScenarioConfig], results: Iterable[T]) -> list[T]:
+    out: list[T] = []
+    try:
+        for result in results:
+            out.append(result)
+    except Exception as exc:
+        raise _RunFailed(len(out), configs[len(out)], exc) from exc
+    return out
+
+
+def two_device_config(
     params: TwoDeviceParams,
     lifetime: int,
     agent: str,
@@ -130,6 +194,7 @@ def _two_device_config(
     agent_transmit: float | None = None,
     reward: RewardSpec | None = None,
 ) -> ScenarioConfig:
+    """A blind peer (device 0) and the tracked device (device 1) under `agent`."""
     peer = DeviceSetup(
         DeviceParams(
             params.peer_arrival,
@@ -162,11 +227,16 @@ def simulate_two_device(
 ) -> tuple[float, float]:
     """Run one two-device scenario; report (throughput, power) over the last
     `window` slots (whole run when None)."""
-    cfg = _two_device_config(
+    cfg = two_device_config(
         params, lifetime, agent, slots, seed, agent_transmit, reward
     )
-    metrics = run(cfg).metrics
-    return metrics.timely_throughput(window), metrics.power(window)
+    return _window_stats(cfg, window)
+
+
+def _group_failed(seed: int, lifetime: int, g: int, exc: BaseException) -> RuntimeError:
+    return RuntimeError(
+        f"group {g} at lifetime {lifetime} (seed ({seed}, {lifetime}, {g})) failed: {exc}"
+    )
 
 
 def run_sweep(
@@ -198,7 +268,8 @@ def run_sweep(
         header += [f"throughput_{agent}", f"power_{agent}"]
     if with_bound:
         header.append("bound")
-    rows = []
+    drawn = []  # (lifetime, group, params) in row order
+    configs = []  # len(agents) per group, in row and agent order
     for lifetime in lifetimes:
         for g in range(groups):
             rng = np.random.default_rng(
@@ -206,27 +277,35 @@ def run_sweep(
             )
             params = sample_params(ranges, rng)
             aloha_prob = ranges._draw(rng, "transmit")
-            row: list = [g] + list(params.as_tuple()) + [lifetime, 1, 1]
             try:
                 for agent in agents:
-                    thr, power = simulate_two_device(
+                    configs.append(two_device_config(
                         params,
                         lifetime,
                         agent,
                         slots,
                         seed=(seed, lifetime, g),
-                        window=window,
                         agent_transmit=aloha_prob if agent == "blind" else None,
-                    )
-                    row += [thr, power]
-                if with_bound:
-                    row.append(upper_bound(build_mdp(params, lifetime)).value)
+                    ))
             except Exception as exc:
-                raise RuntimeError(
-                    f"group {g} at lifetime {lifetime} "
-                    f"(seed ({seed}, {lifetime}, {g})) failed: {exc}"
-                ) from exc
-            rows.append(row)
+                raise _group_failed(seed, lifetime, g, exc) from exc
+            drawn.append((lifetime, g, params))
+    try:
+        stats = _run_all(partial(_window_stats, window=window), configs)
+    except _RunFailed as err:
+        lifetime, g, _ = drawn[err.index // len(agents)]
+        raise _group_failed(seed, lifetime, g, err.__cause__) from err.__cause__
+    rows = []
+    for k, (lifetime, g, params) in enumerate(drawn):
+        row: list = [g] + list(params.as_tuple()) + [lifetime, 1, 1]
+        for thr, power in stats[k * len(agents):(k + 1) * len(agents)]:
+            row += [thr, power]
+        if with_bound:
+            try:
+                row.append(upper_bound(build_mdp(params, lifetime)).value)
+            except Exception as exc:
+                raise _group_failed(seed, lifetime, g, exc) from exc
+        rows.append(row)
     aggregate = _mean_row("mean", rows)
     result = SweepResult(header, rows, aggregate)
     if out_path:
@@ -248,13 +327,13 @@ def run_convergence(
     if window < 1 or slots < window:
         raise ValueError("slots must cover at least one window")
     header = PARAM_COLUMNS + ["agent", "slot", "throughput"]
+    configs = [
+        two_device_config(params, lifetime, agent, slots, seed=(seed, lifetime))
+        for lifetime in lifetimes
+    ]
     rows = []
-    for lifetime in lifetimes:
-        cfg = _two_device_config(
-            params, lifetime, agent, slots, seed=(seed, lifetime)
-        )
-        metrics = run(cfg).metrics
-        series = metrics.throughput_series(window).tolist()
+    all_series = _run_all(partial(_throughput_series, window=window), configs)
+    for lifetime, series in zip(lifetimes, all_series):
         base = list(params.as_tuple()) + [lifetime, 1, 1]
         for k, value in enumerate(series):
             rows.append(base + [agent, (k + 1) * window, value])
@@ -345,50 +424,38 @@ def run_congestion(
         "throughput_blind",
         "power_blind",
     ]
-    rows = []
-    for count in (0,) + tuple(agent_counts):
+    counts = (0,) + tuple(agent_counts)
+    configs = []  # one run for count 0, then learners and blind control
+    drawn = []  # per count: the agents' (arrival, success) pairs
+    for count in counts:
         rng = np.random.default_rng(np.random.SeedSequence((seed, count)))
-        base = [
-            1.0,
-            "",
-            0.5,
-            "",
-            peer_transmit,
-            lifetime,
-            peer_count,
-            count,
-        ]
-        if count == 0:
-            cfg, _ = _multi_device_config(
-                peer_count, 0, lifetime, agent, slots, (seed, count),
-                rng, ranges, peer_transmit,
-            )
-            m = run(cfg).metrics
-            thr, power = m.timely_throughput(window), m.power(window)
-            rows.append(base + ["", "", thr, power, thr, power])
-            continue
         cfg, agent_params = _multi_device_config(
             peer_count, count, lifetime, agent, slots, (seed, count),
             rng, ranges, peer_transmit,
         )
-        m = run(cfg).metrics
-        # same per-device parameter draws and scenario seed for the control
-        rng2 = np.random.default_rng(np.random.SeedSequence((seed, count)))
-        cfg2, _ = _multi_device_config(
-            peer_count, count, lifetime, agent, slots, (seed, count),
-            rng2, ranges, peer_transmit,
-            aloha_agents=True, aloha_prob=1.0 / count,
-        )
-        m2 = run(cfg2).metrics
-        row = base + [
+        configs.append(cfg)
+        drawn.append(agent_params)
+        if count:
+            # same per-device parameter draws and scenario seed for the control
+            rng2 = np.random.default_rng(np.random.SeedSequence((seed, count)))
+            cfg2, _ = _multi_device_config(
+                peer_count, count, lifetime, agent, slots, (seed, count),
+                rng2, ranges, peer_transmit,
+                aloha_agents=True, aloha_prob=1.0 / count,
+            )
+            configs.append(cfg2)
+    stats = iter(_run_all(partial(_window_stats, window=window), configs))
+    rows = []
+    for count, agent_params in zip(counts, drawn):
+        base = [1.0, "", 0.5, "", peer_transmit, lifetime, peer_count, count]
+        learners = next(stats)
+        control = next(stats) if count else learners
+        rows.append(base + [
             ";".join(repr(a) for a, _ in agent_params),
             ";".join(repr(s) for _, s in agent_params),
-            m.timely_throughput(window),
-            m.power(window),
-            m2.timely_throughput(window),
-            m2.power(window),
-        ]
-        rows.append(row)
+            *learners,
+            *control,
+        ])
     result = SweepResult(header, rows)
     if out_path:
         _write_csv(out_path, header, rows)

@@ -10,8 +10,23 @@ from itertools import combinations
 import numpy as np
 
 from dcra.agents import TabularLearner, encode_state, reward_value
-from dcra.core import ApFeedback, ArrivalKind, LeadTimeQueue
+from dcra.core import Action, ApFeedback, ArrivalKind, DeviceParams, LeadTimeQueue
 from dcra.env import Metrics, RunResult, SlotRecord, UniformStream
+
+
+def draw_arrivals(params: DeviceParams, rng: np.random.Generator) -> int:
+    """Number of packets arriving in one slot (0/1 for Bernoulli traffic)."""
+    if params.arrival_kind is ArrivalKind.BERNOULLI:
+        return 1 if rng.random() < params.arrival_rate else 0
+    return int(rng.poisson(params.arrival_rate))
+
+
+def blind_transmit(queue_empty: bool, transmit_prob: float, u: float) -> int:
+    """Blind retransmission rule: send the head-of-line packet with fixed
+    probability whenever the queue is non-empty.  `u` is a uniform draw."""
+    if queue_empty:
+        return Action.WAIT
+    return Action.TRANSMIT if u < transmit_prob else Action.WAIT
 
 
 def one_slot_transition_mc(params, lifetime, l1, l2, action, n_samples, seed):

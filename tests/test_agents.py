@@ -11,13 +11,13 @@ from dcra.agents import (
     RewardSpec,
     StateKind,
     TabularLearner,
-    blind_transmit,
     encode_state,
     epsilon_at,
     reward_value,
     state_space_size,
 )
 from dcra.core import Action, ChannelObservation, LeadTimeQueue
+from oracles import blind_transmit
 
 IDLE = ChannelObservation.IDLE
 BUSY = ChannelObservation.BUSY

@@ -73,8 +73,8 @@ def test_simulate_trace_matches_reference_run(capsys, tmp_path):
     defaults = DEFAULTS["simulate"]
     params = TwoDeviceParams(*(defaults[k] for k in (
         "peer_arrival", "agent_arrival", "peer_success", "agent_success", "peer_transmit")))
-    cfg = experiments._two_device_config(params, 3, "r-hol", 3000, seed=5,
-                                         reward=RewardSpec.parse(defaults["reward"]))
+    cfg = experiments.two_device_config(params, 3, "r-hol", 3000, seed=5,
+                                        reward=RewardSpec.parse(defaults["reward"]))
     reference = tmp_path / "reference.csv"
     write_trace_csv(reference_run(cfg, trace=True), str(reference))
     assert trace.read_bytes() == reference.read_bytes()

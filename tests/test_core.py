@@ -3,12 +3,8 @@
 import numpy as np
 import pytest
 
-from dcra.core import (
-    ArrivalKind,
-    DeviceParams,
-    LeadTimeQueue,
-    draw_arrivals,
-)
+from dcra.core import ArrivalKind, DeviceParams, LeadTimeQueue
+from oracles import draw_arrivals
 
 
 class TestAdvance:

@@ -404,3 +404,38 @@ class TestRunMatchesReference:
         untraced = run(config)
         assert untraced.trace is None
         self.assert_same_run(untraced, reference_run(config))
+
+
+class TestRunProperties:
+    """Packet conservation and seed determinism on random traced scenarios."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(config=scenarios())
+    def test_conservation_and_determinism(self, config):
+        res = run(config, trace=True)
+        n, lifetime, trace = len(config.devices), config.lifetime, res.trace
+        arrivals, delivered, expired = [0] * n, [0] * n, [0] * n
+        for t, rec in enumerate(trace):
+            if rec.winner is not None:
+                assert rec.sent[rec.winner]
+                delivered[rec.winner] += 1
+            # a packet queued at the end of slot t expires at the end of
+            # slot t + D, so only the last D slots' arrivals can be queued
+            recent = trace[max(0, t - lifetime + 1):t + 1]
+            for i in range(n):
+                arrivals[i] += rec.arrivals[i]
+                expired[i] += rec.expired[i]
+                due = trace[t - lifetime].arrivals[i] if t >= lifetime else 0
+                assert 0 <= rec.expired[i] <= due
+                assert 0 <= rec.backlog[i] <= sum(r.arrivals[i] for r in recent)
+        final = trace[-1].backlog
+        for i in range(n):
+            assert arrivals[i] == delivered[i] + expired[i] + final[i], i
+        assert sum(delivered) == int(res.metrics.delivered.sum())
+        assert trace[-1].transmissions_cum == int(res.metrics.senders.sum())
+        # the same seed gives the same metrics, traced or not
+        for again in (run(config), run(config, trace=True)):
+            for name in ("delivered", "senders"):
+                a, b = getattr(again.metrics, name), getattr(res.metrics, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name

@@ -1,11 +1,20 @@
 """Experiment orchestration: sampling, sweeps, CSV reproducibility."""
 
+import concurrent.futures
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dcra
+from dcra import experiments
+from dcra.core import ArrivalKind, DeviceParams
+from dcra.env import DeviceSetup, ScenarioConfig, run
 from dcra.experiments import (
     PARAM_COLUMNS,
     ParamRanges,
@@ -15,6 +24,7 @@ from dcra.experiments import (
     run_sweep,
     sample_params,
     simulate_two_device,
+    two_device_config,
 )
 from dcra.mdp import TwoDeviceParams, build_mdp, upper_bound
 
@@ -254,3 +264,136 @@ class TestCongestion:
 def test_run_congestion_rejects_zero_peers():
     with pytest.raises(ValueError):
         run_congestion(peer_count=0, agent_counts=(1,), seed=0)
+
+
+# small shapes with at least two runs each, so _run_all starts a pool
+SWEEP = dict(groups=2, lifetimes=(1, 2), agents=("r-tiny", "blind"), seed=42,
+             slots=3_000, window=1_000)
+CONGESTION = dict(peer_count=1, agent_counts=(2,), seed=11, lifetime=3,
+                  slots=4_000, window=1_000)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Two CPUs whatever the host has; the list collects every pool started."""
+    started = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(experiments, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    return started
+
+
+@pytest.fixture
+def one_cpu(monkeypatch):
+    """An affinity mask of one CPU, and no pool allowed to start."""
+    if hasattr(os, "sched_getaffinity"):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    else:
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started with one CPU")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+
+
+class TestParallelRuns:
+    """Runs on worker processes give what they give one by one in-process."""
+
+    def test_sweep_rows_equal_runs_one_by_one(self, pools):
+        result = run_sweep(**SWEEP)
+        assert len(pools) == 1
+        ranges = ParamRanges()
+        seed = SWEEP["seed"]
+        for row in result.rows:
+            g, lifetime = row[0], row[6]
+            rng = np.random.default_rng(np.random.SeedSequence((seed, lifetime, g)))
+            params = sample_params(ranges, rng)
+            aloha = ranges._draw(rng, "transmit")
+            assert row[1:6] == list(params.as_tuple())
+            want = []
+            for agent in SWEEP["agents"]:
+                want += simulate_two_device(
+                    params, lifetime, agent, SWEEP["slots"], seed=(seed, lifetime, g),
+                    window=SWEEP["window"],
+                    agent_transmit=aloha if agent == "blind" else None)
+            assert row[9:] == want
+
+    def test_congestion_rows_equal_runs_one_by_one(self, pools):
+        result = run_congestion(**CONGESTION)
+        assert len(pools) == 1
+        seed, window = CONGESTION["seed"], CONGESTION["window"]
+        for row, count in zip(result.rows, (0, 2)):
+            arms = [dict(aloha_agents=False)]
+            if count:
+                arms.append(dict(aloha_agents=True, aloha_prob=1.0 / count))
+            want = []
+            for arm in arms:
+                rng = np.random.default_rng(np.random.SeedSequence((seed, count)))
+                cfg, _ = experiments._multi_device_config(
+                    1, count, CONGESTION["lifetime"], "r-tiny", CONGESTION["slots"],
+                    (seed, count), rng, ParamRanges(), 0.25, **arm)
+                m = run(cfg).metrics
+                want += [m.timely_throughput(window), m.power(window)]
+            assert row[-4:] == (want if count else want * 2)
+
+    def test_convergence_series_equal_runs_one_by_one(self, pools):
+        params = TwoDeviceParams(0.5, 0.4, 0.7, 0.6, 0.4)
+        result = run_convergence(params, lifetimes=(1, 3), agent="r-hol", seed=3,
+                                 slots=4_000, window=1_000)
+        assert len(pools) == 1
+        want = []
+        for lifetime in (1, 3):
+            cfg = two_device_config(params, lifetime, "r-hol", 4_000, seed=(3, lifetime))
+            want += run(cfg).metrics.throughput_series(1_000).tolist()
+        assert result.column("throughput") == want
+
+    def test_spawned_workers_write_the_in_process_bytes(self, one_cpu, tmp_path):
+        # the start method of Python >= 3.14 on Linux and of macOS pickles
+        # every task and imports the workers afresh; the bytes must not change
+        run_sweep(**SWEEP, out_path=str(tmp_path / "sweep.csv"))
+        run_congestion(**CONGESTION, out_path=str(tmp_path / "congestion.csv"))
+        spawned = tmp_path / "spawned"
+        spawned.mkdir()
+        script = (
+            "import multiprocessing, sys\n"
+            "multiprocessing.set_start_method('spawn')\n"
+            "from dcra import experiments\n"
+            "experiments._cpu_count = lambda: 2\n"
+            f"experiments.run_sweep(**{SWEEP!r}, out_path=sys.argv[1] + '/sweep.csv')\n"
+            f"experiments.run_congestion(**{CONGESTION!r},"
+            " out_path=sys.argv[1] + '/congestion.csv')\n"
+        )
+        src = str(Path(dcra.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        subprocess.run([sys.executable, "-c", script, str(spawned)], check=True,
+                       timeout=300, env=dict(os.environ, PYTHONPATH=path))
+        for name in ("sweep.csv", "congestion.csv"):
+            assert (spawned / name).read_bytes() == (tmp_path / name).read_bytes()
+
+    def test_failure_in_a_worker_names_its_seed(self, pools, monkeypatch):
+        # a Poisson rate numpy cannot draw passes the config checks and
+        # raises inside run(), on the worker
+        def failing_at_group_1(params, lifetime, agent, slots, seed, **kwargs):
+            cfg = two_device_config(params, lifetime, agent, slots, seed, **kwargs)
+            if seed != (9, 2, 1):
+                return cfg
+            bad = DeviceSetup(DeviceParams(1e19, 0.5, arrival_kind=ArrivalKind.POISSON),
+                              cfg.devices[1].agent)
+            return ScenarioConfig(lifetime=lifetime, horizon=slots, seed=seed,
+                                  devices=(cfg.devices[0], bad))
+
+        monkeypatch.setattr(experiments, "two_device_config", failing_at_group_1)
+        with pytest.raises(RuntimeError, match=r"^group 1 at lifetime 2 \(seed \(9, 2, 1\)\) "
+                                               r"failed: lam value too large") as err:
+            run_sweep(groups=2, lifetimes=(1, 2), agents=("r-tiny",), seed=9,
+                      slots=1_000, window=1_000)
+        assert len(pools) == 1
+        assert isinstance(err.value.__cause__, ValueError)
+        # the remote traceback is attached where the run raised in a worker
+        assert "_RemoteTraceback" in type(err.value.__cause__.__cause__).__name__

@@ -18,15 +18,16 @@ from . import experiments
 from .agents import RewardSpec, write_policy_csv
 from .core import DeviceParams
 from .env import LEARNER_KINDS, AgentSpec, DeviceSetup, ScenarioConfig, run, write_trace_csv
-from .mdp import TwoDeviceParams, build_mdp, majority_policy, upper_bound
+from .mdp import TwoDeviceParams, bound_program, build_mdp, majority_policy, upper_bound
 from .simplex import write_mps
 
 __all__ = ["main"]
 
 AGENT_KINDS = ("blind",) + tuple(sorted(LEARNER_KINDS))
 
-# states (2^D)^2 * 4 grow fast; build_mdp's dense (2, n, n) transitions
-# tensor takes 268 MB at D=5, so anything above this asks for explicit consent
+# states n = (2^D)^2 * 4 grow fast: the --export-lp program is a dense
+# (2n, 4n) float matrix, 1.07 GB at D=5, and build_mdp's (2, n/4, n) pair
+# kernel reaches 1.07 GB at D=6, so anything above this asks for explicit consent
 MAX_CASUAL_LIFETIME = 4
 
 
@@ -243,8 +244,6 @@ def _cmd_upper_bound(opts: dict) -> int:
         )
     model = build_mdp(_pair_params(opts), lifetime)
     if opts["export_lp"]:
-        from .mdp import bound_program
-
         write_mps(bound_program(model), opts["export_lp"],
                   name=f"DCRA-D{lifetime}")
         print(f"wrote {opts['export_lp']}")

@@ -60,6 +60,10 @@ PARAM_COLUMNS = [
 
 OUTPUT_DIR_ENV = "DCRA_OUTPUT_DIR"
 
+# the congestion study's legacy peers: saturated, decoded half the time alone
+PEER_ARRIVAL = 1.0
+PEER_SUCCESS = 0.5
+
 
 def default_output_dir() -> str:
     return os.environ.get(OUTPUT_DIR_ENV, ".")
@@ -354,17 +358,14 @@ def _multi_device_config(
     rng: np.random.Generator,
     ranges: ParamRanges,
     peer_transmit: float,
-    peer_arrival: float = 1.0,
-    peer_success: float = 0.5,
     aloha_agents: bool = False,
     aloha_prob: float | None = None,
-    reward: RewardSpec | None = None,
 ) -> tuple[ScenarioConfig, list[tuple[float, float]]]:
     devices = []
     for _ in range(peer_count):
         devices.append(
             DeviceSetup(
-                DeviceParams(peer_arrival, peer_success, transmit_prob=peer_transmit),
+                DeviceParams(PEER_ARRIVAL, PEER_SUCCESS, transmit_prob=peer_transmit),
                 AgentSpec("blind"),
             )
         )
@@ -384,7 +385,7 @@ def _multi_device_config(
             devices.append(
                 DeviceSetup(
                     DeviceParams(arrival, success),
-                    AgentSpec(agent, reward=reward or RewardSpec.multi_level()),
+                    AgentSpec(agent, reward=RewardSpec.multi_level()),
                 )
             )
     cfg = ScenarioConfig(
@@ -447,7 +448,7 @@ def run_congestion(
     stats = iter(_run_all(partial(_window_stats, window=window), configs))
     rows = []
     for count, agent_params in zip(counts, drawn):
-        base = [1.0, "", 0.5, "", peer_transmit, lifetime, peer_count, count]
+        base = [PEER_ARRIVAL, "", PEER_SUCCESS, "", peer_transmit, lifetime, peer_count, count]
         learners = next(stats)
         control = next(stats) if count else learners
         rows.append(base + [

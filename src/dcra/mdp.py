@@ -9,7 +9,9 @@ the peer queue, which no real agent can.
 
 State index layout: s = (l1 * 2^D + l2) * 4 + o with observation order
 IDLE, BUSY, SUCCESSFUL, FAILED.  l1 and l2 are lead-time bitmasks, bit k
-set meaning a packet expiring in k+1 slots.
+set meaning a packet expiring in k+1 slots.  No transition depends on the
+source observation, so the model stores one row per pair: its kernel, shape
+(2, 4^D, n_states), holds P(s' | l1, l2, a) in row l1 * 2^D + l2.
 
 upper_bound solves the MDP by policy iteration on the (l1, l2) pairs.  The
 paper's dual LP over the joint states (bound_program) is kept for export to
@@ -19,6 +21,7 @@ external solvers and as an independent check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -92,7 +95,7 @@ def _advance_mask(mask: int, delivered: bool, arrival: int, lifetime: int) -> in
 
 
 class TwoDeviceModel:
-    """Transition tensor and reward vector of the joint chain."""
+    """Pair kernel [a, l1 * masks + l2, s'] and reward vector of the joint chain."""
 
     def __init__(self, params: TwoDeviceParams, lifetime: int):
         if lifetime < 1:
@@ -101,7 +104,7 @@ class TwoDeviceModel:
         self.lifetime = lifetime
         self.masks = 1 << lifetime
         self.n_states = self.masks * self.masks * 4
-        self.transitions = self._build()
+        self.kernel = self._build()
         obs = np.arange(self.n_states) % 4
         self.rewards = (
             (obs == ChannelObservation.BUSY) | (obs == ChannelObservation.SUCCESSFUL)
@@ -121,10 +124,9 @@ class TwoDeviceModel:
     def _build(self) -> np.ndarray:
         p = self.params
         m = self.masks
-        n = self.n_states
-        # transitions depend on (l1, l2, a) only; observation of the source
-        # state is carried along for the reward and marginalised here
-        pair_kernel = np.zeros((2, m * m, n))
+        # transitions depend on (l1, l2, a) only, so one row serves the four
+        # source observations of a pair
+        pair_kernel = np.zeros((2, m * m, self.n_states))
         arrivals = [
             (a1, a2, (p.peer_arrival if a1 else 1 - p.peer_arrival)
              * (p.agent_arrival if a2 else 1 - p.agent_arrival))
@@ -168,10 +170,12 @@ class TwoDeviceModel:
                             n2 = _advance_mask(l2, d2, a2, self.lifetime)
                             sp = (n1 * m + n2) * 4 + o2
                             pair_kernel[a, row, sp] += prob * pa
-        full = np.empty((2, n, n))
-        for a in (0, 1):
-            full[a] = np.repeat(pair_kernel[a], 4, axis=0)
-        return full
+        return pair_kernel
+
+    @cached_property
+    def transitions(self) -> np.ndarray:
+        """Dense joint tensor: each pair's kernel row for its 4 source observations."""
+        return np.repeat(self.kernel, 4, axis=1)
 
 
 def build_mdp(params: TwoDeviceParams, lifetime: int) -> TwoDeviceModel:
@@ -225,14 +229,13 @@ def bound_program(model: TwoDeviceModel) -> LpProgram:
 def _pair_chain(model: TwoDeviceModel) -> tuple[np.ndarray, np.ndarray]:
     """Kernel (2, pairs, pairs) and expected rewards (2, pairs) on (l1, l2).
 
-    A transition never depends on the source observation, so the first row
-    of each pair stands for all four; summing the destination observations
-    out leaves the pair chain, and r(pair, a) = P_a(pair) . rewards is the
-    reward the joint chain collects one slot later.
+    The model's kernel holds one row per pair over the joint destinations
+    s' = pair' * 4 + o'; summing the destination observations out leaves
+    the pair chain, and r(pair, a) = P_a(pair) . rewards is the reward the
+    joint chain collects one slot later.
     """
-    pairs = model.masks * model.masks
-    rows = model.transitions[:, ::4, :]
-    return rows.reshape(2, pairs, pairs, 4).sum(axis=3), rows @ model.rewards
+    kernel, pairs = model.kernel, model.masks * model.masks
+    return kernel.reshape(2, pairs, pairs, 4).sum(axis=3), kernel @ model.rewards
 
 
 def _evaluate_policy(P: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -319,16 +322,10 @@ def majority_policy(bound: BoundResult) -> dict[tuple[int, int], int]:
     depends on no solver path.  Returns 0 for WAIT and 1 for TRANSMIT per
     (l2, o) key.
     """
-    model = bound.model
-    m = model.masks
-    out: dict[tuple[int, int], int] = {}
-    for l2 in range(m):
-        for o in range(4):
-            votes = 0
-            for l1 in range(m):
-                votes += bound.policy[model.index(l1, l2, o), 1] > 0.5
-            out[(l2, o)] = 1 if votes > m // 2 else 0
-    return out
+    m = bound.model.masks
+    votes = (bound.policy[:, 1] > 0.5).reshape(m, m, 4).sum(axis=0)
+    wins = votes > m // 2
+    return {(l2, o): int(wins[l2, o]) for l2 in range(m) for o in range(4)}
 
 
 def constant_policy_throughput(params: TwoDeviceParams, transmit_prob: float) -> float:

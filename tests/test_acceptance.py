@@ -12,6 +12,7 @@ an empty queue as the WAIT it physically is.
 """
 
 import csv
+from functools import partial
 
 import numpy as np
 import pytest
@@ -92,18 +93,20 @@ def test_single_lifetime_closed_forms():
         if pt < ps2 / (ps1 + ps2):
             tuples.append(TwoDeviceParams(pb1, pb2, ps1, ps2, pt))
 
-    worst_lp = worst_sim = 0.0
+    worst_lp = 0.0
+    informed, configs = [], []
     for i, params in enumerate(tuples):
-        informed = informed_optimum_lifetime1(params)
+        informed.append(informed_optimum_lifetime1(params))
         kind, constant = optimal_constant_policy(params)
         assert kind == ALWAYS_TRANSMIT
         bound = upper_bound(build_mdp(params, 1)).value
-        worst_lp = max(worst_lp, abs(bound - informed), abs(constant - informed))
-        cfg = two_device(
+        worst_lp = max(worst_lp, abs(bound - informed[-1]), abs(constant - informed[-1]))
+        configs.append(two_device(
             params, 1, 1_000_000, (MASTER, 1, i), AgentSpec("blind", transmit_prob=1.0)
-        )
-        sim = run(cfg).metrics.timely_throughput()
-        worst_sim = max(worst_sim, abs(sim - informed))
+        ))
+    # the blind runs are independent: fan them out like a sweep
+    stats = experiments._run_all(partial(experiments._window_stats, window=None), configs)
+    worst_sim = max(abs(sim - value) for (sim, _), value in zip(stats, informed))
 
     ref_bound = upper_bound(build_mdp(REF, 1)).value
     ok = worst_lp <= 1e-6 and worst_sim <= 0.005 and abs(ref_bound - 0.276) <= 1e-9

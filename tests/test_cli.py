@@ -1,6 +1,7 @@
 """CLI surface: exit codes, config merging, file outputs."""
 
 import csv
+import hashlib
 import json
 
 import pytest
@@ -137,6 +138,31 @@ def test_upper_bound_mps_export(capsys, tmp_path):
     assert text.startswith("*")
     for section in ("NAME", "ROWS", "COLUMNS", "RHS", "ENDATA"):
         assert section in text
+
+
+# sha256 of the MPS and policy CSV at the default point; both are written
+# from Python floats (%.12E and repr), so no BLAS build moves a byte
+BOUND_GOLDEN = {
+    1: ("3b5bb9b25ae01bb966f47adf7364993ed92f9354dc430eff8e71092f4d1d708d",
+        "be02271d62669653f3d0ffadb014811fc6d7c067b3025cb18830c4f02397d9c0"),
+    2: ("32042f20de6713c2bb565949bffcc71da3758e2b98f0eaad268776fe78d69d4f",
+        "533be6a9a35d9e8b9e9f0fc6497656e6369a28f9c9a1adba4976610026fef661"),
+    3: ("479aab2aea8c8200307ba18935d5e0cc242a91c64b4c50104c86aeb695f93321",
+        "5abc35ccd2439524573c2d1f708b1d1d13ccfe2f5cca10c17e070cd62e34e1a6"),
+}
+
+
+@pytest.mark.parametrize("lifetime", sorted(BOUND_GOLDEN))
+def test_upper_bound_outputs_are_pinned(capsys, tmp_path, lifetime):
+    mps, policy = tmp_path / "bound.mps", tmp_path / "policy.csv"
+    rc, _, _ = run_cli(capsys, "upper-bound", "--lifetime", str(lifetime),
+                       "--export-lp", str(mps))
+    assert rc == 0
+    rc, _, _ = run_cli(capsys, "upper-bound", "--lifetime", str(lifetime),
+                       "--policy-out", str(policy))
+    assert rc == 0
+    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (mps, policy))
+    assert digests == BOUND_GOLDEN[lifetime]
 
 
 def test_sweep_writes_csv(capsys, tmp_path):

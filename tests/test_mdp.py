@@ -65,6 +65,7 @@ def test_rows_sum_to_one_across_lifetimes():
             model = build_mdp(random_params(rng), lifetime)
             errs = np.abs(model.transitions.sum(axis=2) - 1.0)
             assert errs.max() <= 1e-12
+            assert np.array_equal(model.kernel, model.transitions[:, ::4, :])
 
 
 def test_reward_depends_only_on_observation():
@@ -276,6 +277,17 @@ def test_bound_does_not_solve_the_lp(monkeypatch):
     res = upper_bound(build_mdp(REF, 3))
     assert res.value == pytest.approx(0.340142, abs=1e-6)
     assert 1 <= res.iterations <= 5
+
+
+def test_bound_never_builds_the_joint_tensor(monkeypatch):
+    def refuse(model):
+        raise AssertionError("the bound path read the dense joint tensor")
+
+    monkeypatch.setattr(mdp.TwoDeviceModel, "transitions", property(refuse))
+    for lifetime in (1, 2, 3, 4):
+        model = build_mdp(REF, lifetime)
+        voted = majority_policy(upper_bound(model))
+        assert len(voted) == 4 * model.masks
 
 
 def test_bound_rejects_a_policy_off_the_optimality_equations(monkeypatch):

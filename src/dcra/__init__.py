@@ -9,7 +9,6 @@ dual linear program kept for export to external solvers.
 from dcra.core import (
     Action,
     ApFeedback,
-    ArrivalKind,
     ChannelObservation,
     DeviceParams,
     LeadTimeQueue,
@@ -20,7 +19,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Action",
     "ApFeedback",
-    "ArrivalKind",
     "ChannelObservation",
     "DeviceParams",
     "LeadTimeQueue",

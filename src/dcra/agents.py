@@ -153,15 +153,9 @@ class LearnerConfig:
     algorithm "q" is one-step Q-learning on the discounted return; "r" is the
     average-reward variant that tracks a running gain estimate rho instead of
     discounting.  Exploration is epsilon-greedy with epsilon decaying
-    geometrically from 1 to a floor.
-
-    reward_timing "outcome" (default) scores an action with the feedback it
-    produced: the update for (s_t, a_t) uses the observation that arrives at
-    the start of slot t+1.  "observation" instead reads the reward off the
-    observation already contained in s_t, which makes the reward independent
-    of a_t; it is kept as a compatibility switch for the two-level rewards and
-    rejected for the multi-level table, whose rows are keyed by the action
-    that caused the feedback.
+    geometrically from 1 to a floor.  An action is scored with the feedback
+    it produced: the update for (s_t, a_t) uses the observation that arrives
+    at the start of slot t+1.
     """
 
     algorithm: str = "r"
@@ -172,7 +166,6 @@ class LearnerConfig:
     discount: float = 0.9
     epsilon_decay: float = 0.995
     epsilon_floor: float = 0.01
-    reward_timing: str = "outcome"
 
     def __post_init__(self) -> None:
         if self.algorithm not in ("q", "r"):
@@ -187,10 +180,6 @@ class LearnerConfig:
             raise ValueError(f"epsilon_decay {self.epsilon_decay} outside (0, 1]")
         if not 0.0 <= self.epsilon_floor <= 1.0:
             raise ValueError(f"epsilon_floor {self.epsilon_floor} outside [0, 1]")
-        if self.reward_timing not in ("outcome", "observation"):
-            raise ValueError(f"reward_timing must be 'outcome' or 'observation'")
-        if self.reward_timing == "observation" and self.reward.kind is RewardKind.MULTI_LEVEL:
-            raise ValueError("observation timing is undefined for the multi-level reward")
 
 
 def epsilon_at(config: LearnerConfig, step: int) -> float:

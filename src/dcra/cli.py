@@ -10,14 +10,14 @@ exits 0 on success and nonzero after printing one diagnostic line to stderr.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
 
 from . import experiments
 from .agents import RewardSpec, write_policy_csv
-from .core import DeviceParams
-from .env import LEARNER_KINDS, AgentSpec, DeviceSetup, ScenarioConfig, run, write_trace_csv
+from .env import LEARNER_KINDS, run, write_trace_csv
 from .mdp import TwoDeviceParams, bound_program, build_mdp, majority_policy, upper_bound
 from .simplex import write_mps
 
@@ -128,19 +128,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the two-device point of every command that takes _add_pair_params
+PAIR_DEFAULTS = {
+    "peer_arrival": 0.5, "agent_arrival": 0.4,
+    "peer_success": 0.7, "agent_success": 0.6, "peer_transmit": 0.4,
+}
+
 DEFAULTS = {
     "simulate": {
         "seed": 0, "lifetime": 2, "slots": 200_000, "window": None,
         "agent": "r-tiny", "agent_transmit": None, "reward": "two-level",
-        "trace_out": None, "out": None,
-        "peer_arrival": 0.5, "agent_arrival": 0.4,
-        "peer_success": 0.7, "agent_success": 0.6, "peer_transmit": 0.4,
+        "trace_out": None, "out": None, **PAIR_DEFAULTS,
     },
     "upper-bound": {
         "seed": None, "lifetime": 2, "policy_out": None, "export_lp": None,
-        "allow_large": False, "out": None,
-        "peer_arrival": 0.5, "agent_arrival": 0.4,
-        "peer_success": 0.7, "agent_success": 0.6, "peer_transmit": 0.4,
+        "allow_large": False, "out": None, **PAIR_DEFAULTS,
     },
     "sweep": {
         "seed": 0, "groups": 20, "lifetimes": [1, 2, 3],
@@ -150,15 +152,11 @@ DEFAULTS = {
     },
     "convergence": {
         "seed": 0, "lifetimes": [10, 20, 30], "agent": "r-tiny",
-        "slots": 200_000, "window": 2_000, "out": None,
-        "peer_arrival": 0.5, "agent_arrival": 0.4,
-        "peer_success": 0.7, "agent_success": 0.6, "peer_transmit": 0.4,
+        "slots": 200_000, "window": 2_000, "out": None, **PAIR_DEFAULTS,
     },
     "policy-dump": {
         "seed": 0, "lifetime": 2, "slots": 200_000, "agent": "r-tiny",
-        "reward": "two-level", "out": None,
-        "peer_arrival": 0.5, "agent_arrival": 0.4,
-        "peer_success": 0.7, "agent_success": 0.6, "peer_transmit": 0.4,
+        "reward": "two-level", "out": None, **PAIR_DEFAULTS,
     },
     "congestion": {
         "seed": 0, "peer_count": 1, "agent_counts": [10], "lifetime": 10,
@@ -257,12 +255,10 @@ def _cmd_upper_bound(opts: dict) -> int:
 
 
 def _write_bound_policy(bound, path: str) -> None:
-    import csv as _csv
-
     model = bound.model
     majority = majority_policy(bound)
     with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(["peer_mask", "agent_mask", "observation",
                          "p_wait", "p_transmit", "majority_action"])
         for s in range(model.n_states):

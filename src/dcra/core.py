@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 __all__ = [
     "Action",
     "ApFeedback",
-    "ArrivalKind",
     "ChannelObservation",
     "DeviceParams",
     "LeadTimeQueue",
@@ -52,17 +51,12 @@ class ApFeedback(enum.IntEnum):
     NACK = 2
 
 
-class ArrivalKind(enum.Enum):
-    BERNOULLI = "bernoulli"
-    POISSON = "poisson"
-
-
 @dataclass(frozen=True)
 class DeviceParams:
     """Traffic and channel parameters of one device.
 
-    arrival_rate is the Bernoulli success probability (at most one packet per
-    slot) or the Poisson mean, depending on arrival_kind.  success_prob is the
+    arrival_rate is the probability that a packet arrives in a slot; at most
+    one arrives per slot (Bernoulli traffic).  success_prob is the
     probability that a transmission is decoded when this device is the only
     sender in the slot; two or more simultaneous senders are never decoded.
     transmit_prob is only meaningful for devices running the blind
@@ -73,14 +67,10 @@ class DeviceParams:
     arrival_rate: float
     success_prob: float
     transmit_prob: float | None = None
-    arrival_kind: ArrivalKind = ArrivalKind.BERNOULLI
 
     def __post_init__(self) -> None:
-        if self.arrival_kind is ArrivalKind.BERNOULLI:
-            if not 0.0 <= self.arrival_rate <= 1.0:
-                raise ValueError(f"Bernoulli arrival rate {self.arrival_rate} outside [0, 1]")
-        elif self.arrival_rate < 0.0:
-            raise ValueError(f"Poisson arrival rate {self.arrival_rate} must be >= 0")
+        if not 0.0 <= self.arrival_rate <= 1.0:
+            raise ValueError(f"arrival rate {self.arrival_rate} outside [0, 1]")
         if not 0.0 <= self.success_prob <= 1.0:
             raise ValueError(f"success_prob {self.success_prob} outside [0, 1]")
         if self.transmit_prob is not None and not 0.0 <= self.transmit_prob <= 1.0:
@@ -94,8 +84,9 @@ class LeadTimeQueue:
     counts[k] is the number of queued packets that expire k+1 slots from now,
     so counts[0] holds the packets that must be delivered in the current slot.
     The head-of-line packet is always taken from the smallest non-empty
-    bucket.  Under Bernoulli traffic every bucket holds 0 or 1 packets;
-    Poisson traffic can stack several packets on one deadline.
+    bucket.  With at most one arrival per slot every bucket holds 0 or 1
+    packets; the counts are general so that the queue rules stand on their
+    own as the reference model that the simulator's bitmasks reproduce.
     """
 
     counts: list[int] = field(default_factory=list)
@@ -137,8 +128,8 @@ class LeadTimeQueue:
     def occupancy_mask(self) -> int:
         """Bucket occupancy as a bitmask, bit k set iff counts[k] == 1.
 
-        Only defined while every bucket holds 0 or 1 packets, which Bernoulli
-        traffic guarantees; anything else has no faithful encoding.
+        Only defined while every bucket holds 0 or 1 packets, which one
+        arrival per slot guarantees; anything else has no faithful encoding.
         """
         mask = 0
         for k, c in enumerate(self.counts):

@@ -20,14 +20,14 @@ consumers of one stream never perturbs the others.  The channel stream
 consumes exactly one uniform per slot whether or not anyone transmitted.
 
 The channel and arrival streams are drawn BLOCK slots at a time (one
-uniform or one Poisson count per slot), which yields the same sequence as
-drawing them slot by slot.  Policy streams take 0, 1 or 2 uniforms per slot,
+uniform per slot each), which yields the same sequence as drawing them slot
+by slot.  Policy streams take 0, 1 or 2 uniforms per slot,
 so they stay buffered in a UniformStream whose buffer the slot loop reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,14 +38,7 @@ from dcra.agents import (
     TabularLearner,
     reward_value,
 )
-from dcra.core import (
-    Action,
-    ApFeedback,
-    ArrivalKind,
-    ChannelObservation,
-    DeviceParams,
-    LeadTimeQueue,
-)
+from dcra.core import Action, ApFeedback, ChannelObservation, DeviceParams
 
 __all__ = [
     "AgentSpec",
@@ -55,7 +48,6 @@ __all__ = [
     "ScenarioConfig",
     "SlotRecord",
     "UniformStream",
-    "resolve_slot",
     "run",
     "write_trace_csv",
 ]
@@ -118,7 +110,6 @@ class AgentSpec:
     kind: str = "blind"
     transmit_prob: float | None = None
     reward: RewardSpec = RewardSpec()
-    reward_timing: str = "outcome"
 
     def __post_init__(self) -> None:
         if self.kind != "blind" and self.kind not in LEARNER_KINDS:
@@ -138,9 +129,8 @@ class AgentSpec:
         return cls("blind", transmit_prob)
 
     @classmethod
-    def learner(cls, kind: str, reward: RewardSpec | None = None,
-                reward_timing: str = "outcome") -> "AgentSpec":
-        return cls(kind, None, reward if reward is not None else RewardSpec(), reward_timing)
+    def learner(cls, kind: str, reward: RewardSpec | None = None) -> "AgentSpec":
+        return cls(kind, None, reward if reward is not None else RewardSpec())
 
     def learner_config(self) -> LearnerConfig:
         algorithm, state_kind = LEARNER_KINDS[self.kind]
@@ -148,7 +138,6 @@ class AgentSpec:
             algorithm=algorithm,
             state_kind=state_kind,
             reward=self.reward,
-            reward_timing=self.reward_timing,
         )
 
 
@@ -191,10 +180,6 @@ class ScenarioConfig:
         for dev in self.devices:
             if not dev.agent.is_learner:
                 dev.blind_transmit_prob()  # raises if unset
-            elif (dev.agent.learner_config().state_kind is StateKind.FULL
-                  and dev.params.arrival_kind is ArrivalKind.POISSON):
-                raise ValueError(f"{dev.agent.kind} cannot encode Poisson traffic: "
-                                 "stacked packets have no occupancy mask")
 
 
 @dataclass(frozen=True)
@@ -256,28 +241,6 @@ class RunResult:
     trace: list[SlotRecord] | None = None
 
 
-def resolve_slot(sent: list[bool], success_probs: list[float],
-                 channel_u: float) -> tuple[ApFeedback, int | None, list[ChannelObservation]]:
-    """Reference resolution of one slot.
-
-    A lone sender is decoded when channel_u falls under its success
-    probability; two or more senders always collide.  Observations follow the
-    feedback: silence reads IDLE everywhere, an ACK reads SUCCESSFUL at the
-    decoded device and BUSY elsewhere, a NACK reads FAILED everywhere.
-    channel_u is examined only in the lone-sender case.
-    """
-    senders = [i for i, s in enumerate(sent) if s]
-    n = len(sent)
-    if not senders:
-        return ApFeedback.NOTHING, None, [ChannelObservation.IDLE] * n
-    if len(senders) == 1 and channel_u < success_probs[senders[0]]:
-        winner = senders[0]
-        obs = [ChannelObservation.BUSY] * n
-        obs[winner] = ChannelObservation.SUCCESSFUL
-        return ApFeedback.ACK, winner, obs
-    return ApFeedback.NACK, None, [ChannelObservation.FAILED] * n
-
-
 def _reward_table(spec: RewardSpec) -> list[float | None]:
     """reward_value over every (obs, physical action, urgent) cell, indexed
     by obs*4 + action*2 + urgent; None marks a cell that cannot occur."""
@@ -303,9 +266,9 @@ def run(config: ScenarioConfig, trace: bool = False) -> RunResult:
     The slot loop is the inlined form of the single-step API: it reads the
     policy streams' buffers directly, acts and learns on each learner's own
     q list, and keeps every queue as a bitmask of occupied buckets (bit k
-    set when a packet expires k+1 slots from now).  Poisson queues keep
-    their per-bucket counts next to that mask.  The learners returned are in
-    the state that select()/update() calls on the same slots would leave.
+    set when a packet expires k+1 slots from now).  The learners returned
+    are in the state that select()/update() calls on the same slots would
+    leave.
     """
     devices = config.devices
     n = len(devices)
@@ -319,12 +282,8 @@ def run(config: ScenarioConfig, trace: bool = False) -> RunResult:
     channel_gen = np.random.default_rng(children[n])
 
     rates = [dev.params.arrival_rate for dev in devices]
-    poisson = [dev.params.arrival_kind is ArrivalKind.POISSON for dev in devices]
     success = [dev.params.success_prob for dev in devices]
     masks = [0] * n
-    # a Poisson bucket can stack packets, so those queues also keep their
-    # counts; the mask then marks the non-empty buckets
-    pqueues = [LeadTimeQueue.empty(lifetime) if p else None for p in poisson]
 
     streams = [UniformStream(children[n + 1 + i]) for i in range(n)]
     pbuf = [s._buf for s in streams]
@@ -332,7 +291,7 @@ def run(config: ScenarioConfig, trace: bool = False) -> RunResult:
 
     # per-device constants, unpacked by the loops below
     blind_act: list[tuple] = []
-    blind_close: list[tuple] = []
+    blind_close: list[int] = []
     learn_act: list[tuple] = []
     learn_close: list[tuple] = []
     learners: list[TabularLearner | None] = []
@@ -342,7 +301,7 @@ def run(config: ScenarioConfig, trace: bool = False) -> RunResult:
         if not dev.agent.is_learner:
             learners.append(None)
             blind_act.append((i, dev.blind_transmit_prob(), streams[i]))
-            blind_close.append((i, pqueues[i]))
+            blind_close.append(i)
             continue
         cfg = dev.agent.learner_config()
         learner = TabularLearner(cfg, lifetime, streams[i])
@@ -351,8 +310,7 @@ def run(config: ScenarioConfig, trace: bool = False) -> RunResult:
         rhos[i] = learner.rho
         learn_act.append((i, learner.q, cfg.epsilon_floor, cfg.epsilon_decay, streams[i]))
         learn_close.append((
-            i, learner.q, pqueues[i], cfg.state_kind, _reward_table(cfg.reward),
-            cfg.reward_timing == "outcome", cfg.algorithm == "r",
+            i, learner.q, cfg.state_kind, _reward_table(cfg.reward), cfg.algorithm == "r",
             cfg.step_size, cfg.gain_step_size, cfg.discount,
         ))
 
@@ -377,9 +335,8 @@ def run(config: ScenarioConfig, trace: bool = False) -> RunResult:
         m_len = min(BLOCK, horizon - t0)
         chan = channel_gen.random(m_len).tolist()
         arrs = [
-            gen.poisson(rate, m_len).tolist() if pois
-            else (gen.random(m_len) < rate).view(np.uint8).tolist()
-            for gen, rate, pois in zip(arrival_gens, rates, poisson)
+            (gen.random(m_len) < rate).view(np.uint8).tolist()
+            for gen, rate in zip(arrival_gens, rates)
         ]
         blk_delivered = [0] * m_len
         blk_senders = [0] * m_len
@@ -446,31 +403,17 @@ def run(config: ScenarioConfig, trace: bool = False) -> RunResult:
             blk_senders[j] = n_send
 
             # close out the slot: delivery, expiry, shift, arrivals
-            for i, pq in blind_close:
+            for i in blind_close:
                 m = masks[i]
-                a = arrs[i][j]
-                if pq is None:
-                    if i == winner:
-                        m &= m - 1
-                    masks[i] = (m >> 1) | (a << top)
-                else:
-                    if i == winner and pq.counts[(m & -m).bit_length() - 1] == 1:
-                        m &= m - 1
-                    pq.advance(i == winner, a)
-                    masks[i] = (m >> 1) | ((a > 0) << top)
-            for i, q, pq, kind, table, outcome, average, step, gain_step, discount in learn_close:
+                if i == winner:
+                    m &= m - 1
+                masks[i] = (m >> 1) | (arrs[i][j] << top)
+            for i, q, kind, table, average, step, gain_step, discount in learn_close:
                 m = masks[i]
                 urgent = m & 1
-                a = arrs[i][j]
-                if pq is None:
-                    if i == winner:
-                        m &= m - 1
-                    m = (m >> 1) | (a << top)
-                else:
-                    if i == winner and pq.counts[(m & -m).bit_length() - 1] == 1:
-                        m &= m - 1
-                    pq.advance(i == winner, a)
-                    m = (m >> 1) | ((a > 0) << top)
+                if i == winner:
+                    m &= m - 1
+                m = (m >> 1) | (arrs[i][j] << top)
                 masks[i] = m
                 o2 = 2 if i == winner else o_all
                 if kind is tiny:
@@ -480,11 +423,9 @@ def run(config: ScenarioConfig, trace: bool = False) -> RunResult:
                 else:
                     ns = (m << 3) | (o2 << 1)
                 k = chosen[i]
-                # observation timing scores the observation held in s_t
-                o_r = o2 if outcome else (k >> 1) & 3
-                reward = table[(o_r << 2) | (sent[i] << 1) | urgent]
+                reward = table[(o2 << 2) | (sent[i] << 1) | urgent]
                 if reward is None:
-                    raise ValueError(f"no reward for observation {o_r} after action "
+                    raise ValueError(f"no reward for observation {o2} after action "
                                      f"{int(sent[i])}: that pair cannot occur")
                 # one-step update on (s, a, r, s')
                 best_next = q[ns + 1] if q[ns + 1] > q[ns] else q[ns]
@@ -501,10 +442,7 @@ def run(config: ScenarioConfig, trace: bool = False) -> RunResult:
                 # arrivals, minus the delivery, minus backlog after
                 slot_arrivals = tuple(a[j] for a in arrs)
                 before = backlog
-                backlog = [
-                    masks[i].bit_count() if pqueues[i] is None else pqueues[i].total()
-                    for i in range(n)
-                ]
+                backlog = [m.bit_count() for m in masks]
                 deliveries_cum += blk_delivered[j]
                 transmissions_cum += n_send
                 records.append(SlotRecord(

@@ -350,48 +350,25 @@ def run_convergence(
 
 def _multi_device_config(
     peer_count: int,
-    agent_count: int,
+    agent_params: list[tuple[float, float]],
+    spec: AgentSpec,
     lifetime: int,
-    agent: str,
     slots: int,
     seed,
-    rng: np.random.Generator,
-    ranges: ParamRanges,
     peer_transmit: float,
-    aloha_agents: bool = False,
-    aloha_prob: float | None = None,
-) -> tuple[ScenarioConfig, list[tuple[float, float]]]:
-    devices = []
-    for _ in range(peer_count):
-        devices.append(
-            DeviceSetup(
-                DeviceParams(PEER_ARRIVAL, PEER_SUCCESS, transmit_prob=peer_transmit),
-                AgentSpec("blind"),
-            )
-        )
-    agent_params = []
-    for _ in range(agent_count):
-        arrival = ranges._draw(rng, "arrival")
-        success = ranges._draw(rng, "success")
-        agent_params.append((arrival, success))
-        if aloha_agents:
-            devices.append(
-                DeviceSetup(
-                    DeviceParams(arrival, success, transmit_prob=aloha_prob),
-                    AgentSpec("blind"),
-                )
-            )
-        else:
-            devices.append(
-                DeviceSetup(
-                    DeviceParams(arrival, success),
-                    AgentSpec(agent, reward=RewardSpec.multi_level()),
-                )
-            )
-    cfg = ScenarioConfig(
-        lifetime=lifetime, horizon=slots, seed=seed, devices=tuple(devices)
+) -> ScenarioConfig:
+    """`peer_count` saturated blind peers, then one device under `spec` per
+    (arrival, success) pair."""
+    peer = DeviceSetup(
+        DeviceParams(PEER_ARRIVAL, PEER_SUCCESS, transmit_prob=peer_transmit),
+        AgentSpec("blind"),
     )
-    return cfg, agent_params
+    newcomers = tuple(
+        DeviceSetup(DeviceParams(arrival, success), spec) for arrival, success in agent_params
+    )
+    return ScenarioConfig(
+        lifetime=lifetime, horizon=slots, seed=seed, devices=(peer,) * peer_count + newcomers
+    )
 
 
 def run_congestion(
@@ -426,25 +403,22 @@ def run_congestion(
         "power_blind",
     ]
     counts = (0,) + tuple(agent_counts)
+    learner = AgentSpec(agent, reward=RewardSpec.multi_level())
     configs = []  # one run for count 0, then learners and blind control
     drawn = []  # per count: the agents' (arrival, success) pairs
     for count in counts:
         rng = np.random.default_rng(np.random.SeedSequence((seed, count)))
-        cfg, agent_params = _multi_device_config(
-            peer_count, count, lifetime, agent, slots, (seed, count),
-            rng, ranges, peer_transmit,
-        )
-        configs.append(cfg)
+        agent_params = [
+            (ranges._draw(rng, "arrival"), ranges._draw(rng, "success"))
+            for _ in range(count)
+        ]
         drawn.append(agent_params)
-        if count:
-            # same per-device parameter draws and scenario seed for the control
-            rng2 = np.random.default_rng(np.random.SeedSequence((seed, count)))
-            cfg2, _ = _multi_device_config(
-                peer_count, count, lifetime, agent, slots, (seed, count),
-                rng2, ranges, peer_transmit,
-                aloha_agents=True, aloha_prob=1.0 / count,
-            )
-            configs.append(cfg2)
+        # both arms share the parameter draws and the scenario seed
+        arms = (learner, AgentSpec.blind(1.0 / count)) if count else (learner,)
+        for spec in arms:
+            configs.append(_multi_device_config(
+                peer_count, agent_params, spec, lifetime, slots, (seed, count), peer_transmit,
+            ))
     stats = iter(_run_all(partial(_window_stats, window=window), configs))
     rows = []
     for count, agent_params in zip(counts, drawn):

@@ -10,15 +10,13 @@ from itertools import combinations
 import numpy as np
 
 from dcra.agents import TabularLearner, encode_state, reward_value
-from dcra.core import Action, ApFeedback, ArrivalKind, DeviceParams, LeadTimeQueue
+from dcra.core import Action, ApFeedback, ChannelObservation, DeviceParams, LeadTimeQueue
 from dcra.env import Metrics, RunResult, SlotRecord, UniformStream
 
 
 def draw_arrivals(params: DeviceParams, rng: np.random.Generator) -> int:
-    """Number of packets arriving in one slot (0/1 for Bernoulli traffic)."""
-    if params.arrival_kind is ArrivalKind.BERNOULLI:
-        return 1 if rng.random() < params.arrival_rate else 0
-    return int(rng.poisson(params.arrival_rate))
+    """Number of packets arriving in one slot: 1 with the arrival rate, else 0."""
+    return 1 if rng.random() < params.arrival_rate else 0
 
 
 def blind_transmit(queue_empty: bool, transmit_prob: float, u: float) -> int:
@@ -27,6 +25,28 @@ def blind_transmit(queue_empty: bool, transmit_prob: float, u: float) -> int:
     if queue_empty:
         return Action.WAIT
     return Action.TRANSMIT if u < transmit_prob else Action.WAIT
+
+
+def resolve_slot(sent: list[bool], success_probs: list[float],
+                 channel_u: float) -> tuple[ApFeedback, int | None, list[ChannelObservation]]:
+    """Reference resolution of one slot.
+
+    A lone sender is decoded when channel_u falls under its success
+    probability; two or more senders always collide.  Observations follow the
+    feedback: silence reads IDLE everywhere, an ACK reads SUCCESSFUL at the
+    decoded device and BUSY elsewhere, a NACK reads FAILED everywhere.
+    channel_u is examined only in the lone-sender case.
+    """
+    senders = [i for i, s in enumerate(sent) if s]
+    n = len(sent)
+    if not senders:
+        return ApFeedback.NOTHING, None, [ChannelObservation.IDLE] * n
+    if len(senders) == 1 and channel_u < success_probs[senders[0]]:
+        winner = senders[0]
+        obs = [ChannelObservation.BUSY] * n
+        obs[winner] = ChannelObservation.SUCCESSFUL
+        return ApFeedback.ACK, winner, obs
+    return ApFeedback.NACK, None, [ChannelObservation.FAILED] * n
 
 
 def one_slot_transition_mc(params, lifetime, l1, l2, action, n_samples, seed):
@@ -133,11 +153,12 @@ def enumerate_lp_max(c, A, b):
 def reference_run(config, trace=False):
     """Slot-by-slot twin of dcra.env.run through the single-step API.
 
-    Every draw goes through UniformStream.random or Generator.poisson one
-    slot at a time, queues are LeadTimeQueue objects advanced by their own
-    method, learners act through select/update on states from encode_state,
-    and rewards come from reward_value.  Same streams, same draw order, so
-    run() must reproduce its metrics, trace and learners exactly.
+    Every draw goes through UniformStream.random one slot at a time, slots
+    resolve through resolve_slot, queues are LeadTimeQueue objects advanced
+    by their own method, learners act through select/update on states from
+    encode_state, and rewards come from reward_value.  Same streams, same
+    draw order, so run() must reproduce its metrics, trace and learners
+    exactly.
     """
     devices = config.devices
     n = len(devices)
@@ -147,19 +168,9 @@ def reference_run(config, trace=False):
     children = seed_seq.spawn(2 * n + 1)
     channel = UniformStream(children[n])
 
-    arrival_streams = []
-    bernoulli_rate = []
-    for i, dev in enumerate(devices):
-        if dev.params.arrival_kind is ArrivalKind.BERNOULLI:
-            arrival_streams.append(UniformStream(children[i]))
-            bernoulli_rate.append(dev.params.arrival_rate)
-        else:
-            arrival_streams.append(np.random.default_rng(children[i]))
-            bernoulli_rate.append(None)
-
+    arrival_streams = [UniformStream(children[i]) for i in range(n)]
     success_probs = [dev.params.success_prob for dev in devices]
     queues = [LeadTimeQueue.empty(config.lifetime) for _ in range(n)]
-    obs = [0] * n
 
     learners = []
     blind_prob = []
@@ -196,44 +207,26 @@ def reference_run(config, trace=False):
                 actions[i] = learner.select(states[i])
                 sent[i] = bool(actions[i]) and nonempty
         n_send = sum(sent)
-        lone = sent.index(True) if n_send == 1 else -1
-
-        u = channel.random()
-        if n_send == 0:
-            mode, winner = 0, -1
-        elif n_send == 1 and u < success_probs[lone]:
-            mode, winner = 1, lone
-        else:
-            mode, winner = 2, -1
+        feedback, winner, obs = resolve_slot(sent, success_probs, channel.random())
+        obs = [int(o) for o in obs]  # run() records plain ints, and traces compare by repr
 
         slot_arrivals = [0] * n
         slot_expired = [0] * n
         for i in range(n):
-            rate = bernoulli_rate[i]
-            if rate is None:
-                arrivals = int(arrival_streams[i].poisson(devices[i].params.arrival_rate))
-            else:
-                arrivals = 1 if arrival_streams[i].random() < rate else 0
-            o2 = (0, 2 if i == winner else 1, 3)[mode]
+            arrivals = 1 if arrival_streams[i].random() < devices[i].params.arrival_rate else 0
             urgent = queues[i].urgent()
             expired = queues[i].advance(i == winner, arrivals)
             learner = learners[i]
             if learner is not None:
                 cfg = learner.config
-                next_state = encode_state(cfg.state_kind, queues[i], o2)
-                reward = reward_value(
-                    cfg.reward,
-                    o2 if cfg.reward_timing == "outcome" else obs[i],
-                    1 if sent[i] else 0,
-                    urgent,
-                )
+                next_state = encode_state(cfg.state_kind, queues[i], obs[i])
+                reward = reward_value(cfg.reward, obs[i], 1 if sent[i] else 0, urgent)
                 learner.update(states[i], actions[i], reward, next_state)
                 states[i] = next_state
-            obs[i] = o2
             slot_arrivals[i] = arrivals
             slot_expired[i] = expired
 
-        if mode == 1:
+        if winner is not None:
             delivered_arr[t] = 1
             deliveries_cum += 1
         senders_arr[t] = n_send
@@ -243,8 +236,8 @@ def reference_run(config, trace=False):
             records.append(SlotRecord(
                 slot=t + 1,
                 sent=tuple(sent),
-                feedback=(ApFeedback.NOTHING, ApFeedback.ACK, ApFeedback.NACK)[mode],
-                winner=winner if winner >= 0 else None,
+                feedback=feedback,
+                winner=winner,
                 observations=tuple(obs),
                 arrivals=tuple(slot_arrivals),
                 expired=tuple(slot_expired),

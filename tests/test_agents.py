@@ -248,13 +248,6 @@ class TestConfigValidation:
             LearnerConfig(step_size=0.0)
         with pytest.raises(ValueError):
             LearnerConfig(discount=1.0)
-        with pytest.raises(ValueError):
-            LearnerConfig(reward_timing="both")
-
-    def test_observation_timing_needs_action_free_reward(self):
-        LearnerConfig(reward=RewardSpec.two_level(), reward_timing="observation")
-        with pytest.raises(ValueError):
-            LearnerConfig(reward=RewardSpec.multi_level(), reward_timing="observation")
 
 
 class TestBlindTransmit:

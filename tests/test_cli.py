@@ -165,6 +165,47 @@ def test_upper_bound_outputs_are_pinned(capsys, tmp_path, lifetime):
     assert digests == BOUND_GOLDEN[lifetime]
 
 
+# sha256 of each simulation command's output file at small sizes and fixed
+# seeds; sweep runs without --with-bound, whose last bits go through
+# np.linalg.solve and so depend on the BLAS build
+SIMULATION_GOLDEN = {
+    "simulate": (
+        ("simulate", "--agent", "r-full", "--lifetime", "3", "--slots", "3000",
+         "--reward", "multi-level", "--seed", "5", "--trace-out"),
+        "dc3069fb60dedad579c62161e77171ea0f5554daa2e5cb2104119c05a7920844",
+    ),
+    "policy-dump": (
+        ("policy-dump", "--agent", "q-hol", "--lifetime", "3", "--slots", "3000",
+         "--seed", "3", "--out"),
+        "2625830f5ba4e8ce5504f892015fab02441335b12ca8675ac50635c3dcfb3031",
+    ),
+    "convergence": (
+        ("convergence", "--agent", "r-full", "--lifetimes", "1", "3", "--slots", "4000",
+         "--window", "1000", "--seed", "2", "--out"),
+        "0dbaf77d423ed5d3c11755df2e6e4062e736554bb6070c4fe9f20a11967418d2",
+    ),
+    "congestion": (
+        ("congestion", "--peer-count", "1", "--agent-counts", "2", "3", "--lifetime", "3",
+         "--slots", "3000", "--window", "1000", "--seed", "4", "--out"),
+        "30934e6bc0e9704f25bd12e77b2417a666d62ad2a0b873e9d1548d515fb5fa4c",
+    ),
+    "sweep": (
+        ("sweep", "--groups", "2", "--lifetimes", "1", "2", "--agents", "r-tiny", "q-full",
+         "blind", "--slots", "2000", "--window", "1000", "--seed", "1", "--out"),
+        "7ee01ab23e8d7381ff59f7aa124f3558917cb5addb7e3fbb2cdbf6e5b9a2a231",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SIMULATION_GOLDEN))
+def test_simulation_outputs_are_pinned(capsys, tmp_path, command):
+    argv, digest = SIMULATION_GOLDEN[command]
+    out = tmp_path / "out.csv"
+    rc, _, err = run_cli(capsys, *argv, str(out))
+    assert rc == 0 and err == ""
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_sweep_writes_csv(capsys, tmp_path):
     out_path = tmp_path / "sweep.csv"
     rc, out, _ = run_cli(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dcra.core import ArrivalKind, DeviceParams, LeadTimeQueue
+from dcra.core import DeviceParams, LeadTimeQueue
 from oracles import draw_arrivals
 
 
@@ -121,14 +121,6 @@ class TestArrivals:
         mean = sum(draw_arrivals(p, rng) for _ in range(n)) / n
         assert abs(mean - 0.5) < 0.002
 
-    def test_poisson_mean(self):
-        # 3 sigma for 1e6 Poisson(0.7) draws is 0.0025
-        rng = np.random.default_rng(42)
-        p = DeviceParams(arrival_rate=0.7, success_prob=0.5, arrival_kind=ArrivalKind.POISSON)
-        n = 1_000_000
-        mean = sum(draw_arrivals(p, rng) for _ in range(n)) / n
-        assert abs(mean - 0.7) < 0.003
-
     def test_param_validation(self):
         with pytest.raises(ValueError):
             DeviceParams(arrival_rate=1.2, success_prob=0.5)
@@ -136,5 +128,3 @@ class TestArrivals:
             DeviceParams(arrival_rate=0.5, success_prob=-0.1)
         with pytest.raises(ValueError):
             DeviceParams(arrival_rate=0.5, success_prob=0.5, transmit_prob=1.5)
-        # Poisson rates above 1 are legal
-        DeviceParams(arrival_rate=2.5, success_prob=0.5, arrival_kind=ArrivalKind.POISSON)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dcra import env
 from dcra.agents import RewardSpec, reward_value
-from dcra.core import Action, ApFeedback, ArrivalKind, ChannelObservation, DeviceParams
+from dcra.core import ApFeedback, ChannelObservation, DeviceParams
 from dcra.env import (
     BLOCK,
     LEARNER_KINDS,
@@ -17,11 +17,10 @@ from dcra.env import (
     Metrics,
     ScenarioConfig,
     UniformStream,
-    resolve_slot,
     run,
     write_trace_csv,
 )
-from oracles import reference_run
+from oracles import reference_run, resolve_slot
 
 IDLE = ChannelObservation.IDLE
 BUSY = ChannelObservation.BUSY
@@ -132,60 +131,6 @@ class TestRunBasics:
         run(cfg)  # reaching an impossible reward cell would raise
 
 
-class TestTraceInvariants:
-    @staticmethod
-    def traced_result():
-        cfg = ScenarioConfig(
-            lifetime=2, horizon=3000, seed=11,
-            devices=(
-                blind_device(0.5, 0.7, 0.4),
-                DeviceSetup(DeviceParams(0.4, 0.6), AgentSpec.learner("r-tiny")),
-                DeviceSetup(DeviceParams(0.6, 0.5, arrival_kind=ArrivalKind.POISSON),
-                            AgentSpec.learner("r-hol")),
-            ),
-        )
-        return run(cfg, trace=True)
-
-    def test_observation_impossibility_structure(self):
-        res = self.traced_result()
-        for rec in res.trace:
-            n_send = sum(rec.sent)
-            if rec.feedback is ApFeedback.NOTHING:
-                assert n_send == 0 and rec.winner is None
-                assert all(o == IDLE for o in rec.observations)
-            elif rec.feedback is ApFeedback.ACK:
-                assert rec.winner is not None and rec.sent[rec.winner]
-                assert n_send == 1
-                for i, o in enumerate(rec.observations):
-                    assert o == (SUCC if i == rec.winner else BUSY)
-            else:
-                assert n_send >= 1 and rec.winner is None
-                assert all(o == FAIL for o in rec.observations)
-            # no device ever sees the other side of the channel
-            for i, o in enumerate(rec.observations):
-                if rec.sent[i]:
-                    assert o in (SUCC, FAIL)
-                else:
-                    assert o in (IDLE, BUSY, FAIL)
-
-    def test_per_slot_conservation(self):
-        res = self.traced_result()
-        n = len(res.config.devices)
-        backlog = [0] * n
-        for rec in res.trace:
-            for i in range(n):
-                delivered = 1 if rec.winner == i else 0
-                expect = backlog[i] + rec.arrivals[i] - delivered - rec.expired[i]
-                assert rec.backlog[i] == expect
-            backlog = list(rec.backlog)
-
-    def test_cumulative_tallies_match_metrics(self):
-        res = self.traced_result()
-        last = res.trace[-1]
-        assert last.deliveries_cum == int(res.metrics.delivered.sum())
-        assert last.transmissions_cum == int(res.metrics.senders.sum())
-
-
 class TestDeterminism:
     def test_identical_seeds_reproduce_bit_for_bit(self, tmp_path):
         def make():
@@ -267,17 +212,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             AgentSpec.blind(1.5)
 
-    def test_full_state_rejects_poisson_traffic(self):
-        # stacked Poisson packets have no occupancy mask to encode
-        poisson = DeviceParams(1.5, 0.5, arrival_kind=ArrivalKind.POISSON)
-        for kind in ("r-full", "q-full"):
-            with pytest.raises(ValueError, match="Poisson"):
-                ScenarioConfig(lifetime=2, horizon=10, seed=0,
-                               devices=(DeviceSetup(poisson, AgentSpec.learner(kind)),))
-        for kind in ("r-hol", "q-tiny"):
-            ScenarioConfig(lifetime=2, horizon=10, seed=0,
-                           devices=(DeviceSetup(poisson, AgentSpec.learner(kind)),))
-
     def test_device_count_fits_senders_dtype(self):
         # builds the configs only: nothing is simulated
         dev = blind_device(0.5, 0.5, 0.5)
@@ -336,19 +270,11 @@ unit = st.integers(0, 10).map(lambda k: k / 10)
 
 @st.composite
 def devices(draw):
-    poisson = draw(st.booleans())
-    if poisson:
-        params = DeviceParams(draw(st.integers(0, 30)) / 10, draw(unit),
-                              arrival_kind=ArrivalKind.POISSON)
-    else:
-        params = DeviceParams(draw(unit), draw(unit))
-    kinds = ["blind"] + [k for k in LEARNER_KINDS if not (poisson and k.endswith("full"))]
-    kind = draw(st.sampled_from(kinds))
+    params = DeviceParams(draw(unit), draw(unit))
+    kind = draw(st.sampled_from(["blind", *LEARNER_KINDS]))
     if kind == "blind":
         return DeviceSetup(params, AgentSpec.blind(draw(unit)))
-    reward = draw(st.sampled_from(REWARDS))
-    timings = ["outcome"] if reward == RewardSpec.multi_level() else ["outcome", "observation"]
-    return DeviceSetup(params, AgentSpec.learner(kind, reward, draw(st.sampled_from(timings))))
+    return DeviceSetup(params, AgentSpec.learner(kind, draw(st.sampled_from(REWARDS))))
 
 
 @st.composite
@@ -407,7 +333,8 @@ class TestRunMatchesReference:
 
 
 class TestRunProperties:
-    """Packet conservation and seed determinism on random traced scenarios."""
+    """Packet conservation, feedback structure and seed determinism on
+    random traced scenarios."""
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -415,11 +342,16 @@ class TestRunProperties:
     def test_conservation_and_determinism(self, config):
         res = run(config, trace=True)
         n, lifetime, trace = len(config.devices), config.lifetime, res.trace
-        arrivals, delivered, expired = [0] * n, [0] * n, [0] * n
+        arrivals, delivered, expired, backlog = [0] * n, [0] * n, [0] * n, [0] * n
+        deliveries_cum = transmissions_cum = 0
         for t, rec in enumerate(trace):
             if rec.winner is not None:
                 assert rec.sent[rec.winner]
                 delivered[rec.winner] += 1
+                deliveries_cum += 1
+            transmissions_cum += sum(rec.sent)
+            assert rec.deliveries_cum == deliveries_cum
+            assert rec.transmissions_cum == transmissions_cum
             # a packet queued at the end of slot t expires at the end of
             # slot t + D, so only the last D slots' arrivals can be queued
             recent = trace[max(0, t - lifetime + 1):t + 1]
@@ -429,13 +361,33 @@ class TestRunProperties:
                 due = trace[t - lifetime].arrivals[i] if t >= lifetime else 0
                 assert 0 <= rec.expired[i] <= due
                 assert 0 <= rec.backlog[i] <= sum(r.arrivals[i] for r in recent)
-        final = trace[-1].backlog
+                won = 1 if rec.winner == i else 0
+                assert rec.backlog[i] == backlog[i] + rec.arrivals[i] - won - rec.expired[i]
+            backlog = rec.backlog
         for i in range(n):
-            assert arrivals[i] == delivered[i] + expired[i] + final[i], i
-        assert sum(delivered) == int(res.metrics.delivered.sum())
-        assert trace[-1].transmissions_cum == int(res.metrics.senders.sum())
+            assert arrivals[i] == delivered[i] + expired[i] + backlog[i], i
+        assert deliveries_cum == int(res.metrics.delivered.sum())
+        assert transmissions_cum == int(res.metrics.senders.sum())
         # the same seed gives the same metrics, traced or not
         for again in (run(config), run(config, trace=True)):
             for name in ("delivered", "senders"):
                 a, b = getattr(again.metrics, name), getattr(res.metrics, name)
                 assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(config=scenarios())
+    def test_observations_follow_feedback(self, config):
+        for rec in run(config, trace=True).trace:
+            n_send = sum(rec.sent)
+            if rec.feedback is ApFeedback.NOTHING:
+                assert n_send == 0 and rec.winner is None
+                assert all(o == IDLE for o in rec.observations)
+            elif rec.feedback is ApFeedback.ACK:
+                assert n_send == 1 and rec.winner is not None and rec.sent[rec.winner]
+                for i, o in enumerate(rec.observations):
+                    assert o == (SUCC if i == rec.winner else BUSY)
+            else:
+                assert rec.feedback is ApFeedback.NACK
+                assert n_send >= 1 and rec.winner is None
+                assert all(o == FAIL for o in rec.observations)

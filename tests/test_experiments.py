@@ -2,7 +2,6 @@
 
 import concurrent.futures
 import csv
-import math
 import os
 import subprocess
 import sys
@@ -13,8 +12,9 @@ import pytest
 
 import dcra
 from dcra import experiments
-from dcra.core import ArrivalKind, DeviceParams
-from dcra.env import DeviceSetup, ScenarioConfig, run
+from dcra.agents import RewardSpec
+from dcra.core import DeviceParams
+from dcra.env import AgentSpec, DeviceSetup, ScenarioConfig, run
 from dcra.experiments import (
     PARAM_COLUMNS,
     ParamRanges,
@@ -26,7 +26,7 @@ from dcra.experiments import (
     simulate_two_device,
     two_device_config,
 )
-from dcra.mdp import TwoDeviceParams, build_mdp, upper_bound
+from dcra.mdp import TwoDeviceParams
 
 
 def test_param_ranges_validation():
@@ -328,16 +328,22 @@ class TestParallelRuns:
         result = run_congestion(**CONGESTION)
         assert len(pools) == 1
         seed, window = CONGESTION["seed"], CONGESTION["window"]
+        ranges = ParamRanges()
+        peer = DeviceSetup(DeviceParams(1.0, 0.5, transmit_prob=0.25), AgentSpec.blind())
         for row, count in zip(result.rows, (0, 2)):
-            arms = [dict(aloha_agents=False)]
+            rng = np.random.default_rng(np.random.SeedSequence((seed, count)))
+            pairs = [(ranges._draw(rng, "arrival"), ranges._draw(rng, "success"))
+                     for _ in range(count)]
+            assert row[8:10] == [";".join(repr(a) for a, _ in pairs),
+                                 ";".join(repr(s) for _, s in pairs)]
+            arms = [AgentSpec.learner("r-tiny", RewardSpec.multi_level())]
             if count:
-                arms.append(dict(aloha_agents=True, aloha_prob=1.0 / count))
+                arms.append(AgentSpec.blind(1.0 / count))
             want = []
-            for arm in arms:
-                rng = np.random.default_rng(np.random.SeedSequence((seed, count)))
-                cfg, _ = experiments._multi_device_config(
-                    1, count, CONGESTION["lifetime"], "r-tiny", CONGESTION["slots"],
-                    (seed, count), rng, ParamRanges(), 0.25, **arm)
+            for spec in arms:
+                newcomers = tuple(DeviceSetup(DeviceParams(a, s), spec) for a, s in pairs)
+                cfg = ScenarioConfig(lifetime=CONGESTION["lifetime"], horizon=CONGESTION["slots"],
+                                     seed=(seed, count), devices=(peer,) + newcomers)
                 m = run(cfg).metrics
                 want += [m.timely_throughput(window), m.power(window)]
             assert row[-4:] == (want if count else want * 2)
@@ -377,23 +383,23 @@ class TestParallelRuns:
             assert (spawned / name).read_bytes() == (tmp_path / name).read_bytes()
 
     def test_failure_in_a_worker_names_its_seed(self, pools, monkeypatch):
-        # a Poisson rate numpy cannot draw passes the config checks and
-        # raises inside run(), on the worker
+        # a full-state learner at lifetime 64 passes the config checks and
+        # raises inside run(), on the worker, when it sizes its 2^67 action values
         def failing_at_group_1(params, lifetime, agent, slots, seed, **kwargs):
             cfg = two_device_config(params, lifetime, agent, slots, seed, **kwargs)
             if seed != (9, 2, 1):
                 return cfg
-            bad = DeviceSetup(DeviceParams(1e19, 0.5, arrival_kind=ArrivalKind.POISSON),
-                              cfg.devices[1].agent)
-            return ScenarioConfig(lifetime=lifetime, horizon=slots, seed=seed,
+            bad = DeviceSetup(cfg.devices[1].params, AgentSpec.learner("r-full"))
+            return ScenarioConfig(lifetime=64, horizon=slots, seed=seed,
                                   devices=(cfg.devices[0], bad))
 
         monkeypatch.setattr(experiments, "two_device_config", failing_at_group_1)
         with pytest.raises(RuntimeError, match=r"^group 1 at lifetime 2 \(seed \(9, 2, 1\)\) "
-                                               r"failed: lam value too large") as err:
+                                               r"failed: cannot fit 'int' into an index-sized "
+                                               r"integer") as err:
             run_sweep(groups=2, lifetimes=(1, 2), agents=("r-tiny",), seed=9,
                       slots=1_000, window=1_000)
         assert len(pools) == 1
-        assert isinstance(err.value.__cause__, ValueError)
+        assert isinstance(err.value.__cause__, OverflowError)
         # the remote traceback is attached where the run raised in a worker
         assert "_RemoteTraceback" in type(err.value.__cause__.__cause__).__name__

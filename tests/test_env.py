@@ -131,6 +131,37 @@ class TestRunBasics:
         run(cfg)  # reaching an impossible reward cell would raise
 
 
+class TestTraceInvariants:
+    @staticmethod
+    def traced_result():
+        cfg = ScenarioConfig(
+            lifetime=2, horizon=3000, seed=11,
+            devices=(
+                blind_device(0.5, 0.7, 0.4),
+                DeviceSetup(DeviceParams(0.4, 0.6), AgentSpec.learner("r-tiny")),
+                DeviceSetup(DeviceParams(0.6, 0.5), AgentSpec.learner("r-hol")),
+            ),
+        )
+        return run(cfg, trace=True)
+
+    def test_per_slot_conservation(self):
+        res = self.traced_result()
+        n = len(res.config.devices)
+        backlog = [0] * n
+        for rec in res.trace:
+            for i in range(n):
+                delivered = 1 if rec.winner == i else 0
+                expect = backlog[i] + rec.arrivals[i] - delivered - rec.expired[i]
+                assert rec.backlog[i] == expect
+            backlog = list(rec.backlog)
+
+    def test_cumulative_tallies_match_metrics(self):
+        res = self.traced_result()
+        last = res.trace[-1]
+        assert last.deliveries_cum == int(res.metrics.delivered.sum())
+        assert last.transmissions_cum == int(res.metrics.senders.sum())
+
+
 class TestDeterminism:
     def test_identical_seeds_reproduce_bit_for_bit(self, tmp_path):
         def make():

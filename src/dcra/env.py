@@ -37,6 +37,7 @@ from dcra.agents import (
     StateKind,
     TabularLearner,
     reward_value,
+    state_space_size,
 )
 from dcra.core import Action, ApFeedback, ChannelObservation, DeviceParams
 
@@ -156,6 +157,8 @@ class DeviceSetup:
 
 # largest sender count of one slot that Metrics.senders (int16) holds
 MAX_DEVICES = int(np.iinfo(np.int16).max)
+# most states a learner's Q-table may have: 2^21 action values, 16 MB of list
+MAX_LEARNER_STATES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -180,6 +183,12 @@ class ScenarioConfig:
         for dev in self.devices:
             if not dev.agent.is_learner:
                 dev.blind_transmit_prob()  # raises if unset
+                continue
+            size = state_space_size(LEARNER_KINDS[dev.agent.kind][1], self.lifetime)
+            if size > MAX_LEARNER_STATES:
+                raise ValueError(f"a {dev.agent.kind} learner at lifetime {self.lifetime} "
+                                 f"needs {size} states, over the {MAX_LEARNER_STATES} "
+                                 "a Q-table may have")
 
 
 @dataclass(frozen=True)
@@ -241,16 +250,28 @@ class RunResult:
     trace: list[SlotRecord] | None = None
 
 
+# the (observation, physical action) pairs a slot produces: a sender sees
+# SUCCESSFUL or FAILED, a non-sender IDLE, BUSY or FAILED
+_REACHABLE = ((0, 0), (1, 0), (3, 0), (2, 1), (3, 1))
+
+
 def _reward_table(spec: RewardSpec) -> list[float | None]:
     """reward_value over every (obs, physical action, urgent) cell, indexed
-    by obs*4 + action*2 + urgent; None marks a cell that cannot occur."""
+    by obs*4 + action*2 + urgent; None marks a cell that cannot occur.
+
+    Raises ValueError when a cell that run() can reach has no reward, so the
+    slot loop never meets a None.
+    """
     table: list[float | None] = []
     for obs in range(4):
         for action in (0, 1):
             for urgent in (False, True):
                 try:
                     table.append(reward_value(spec, obs, action, urgent))
-                except ValueError:
+                except ValueError as exc:
+                    if (obs, action) in _REACHABLE:
+                        raise ValueError(f"no reward for observation {obs} after action "
+                                         f"{action}, which a slot can produce: {exc}") from exc
                     table.append(None)
     return table
 
@@ -424,9 +445,6 @@ def run(config: ScenarioConfig, trace: bool = False) -> RunResult:
                     ns = (m << 3) | (o2 << 1)
                 k = chosen[i]
                 reward = table[(o2 << 2) | (sent[i] << 1) | urgent]
-                if reward is None:
-                    raise ValueError(f"no reward for observation {o2} after action "
-                                     f"{int(sent[i])}: that pair cannot occur")
                 # one-step update on (s, a, r, s')
                 best_next = q[ns + 1] if q[ns + 1] > q[ns] else q[ns]
                 if average:

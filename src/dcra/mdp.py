@@ -11,7 +11,8 @@ State index layout: s = (l1 * 2^D + l2) * 4 + o with observation order
 IDLE, BUSY, SUCCESSFUL, FAILED.  l1 and l2 are lead-time bitmasks, bit k
 set meaning a packet expiring in k+1 slots.  No transition depends on the
 source observation, so the model stores one row per pair: its kernel, shape
-(2, 4^D, n_states), holds P(s' | l1, l2, a) in row l1 * 2^D + l2.
+(2, 4^D, n_states), holds P(s' | l1, l2, a) in row l1 * 2^D + l2, read off
+a table of the six outcomes of a slot (see TwoDeviceModel).
 
 upper_bound solves the MDP by policy iteration on the (l1, l2) pairs.  The
 paper's dual LP over the joint states (bound_program) is kept for export to
@@ -85,17 +86,16 @@ class TwoDeviceParams:
         )
 
 
-def _advance_mask(mask: int, delivered: bool, arrival: int, lifetime: int) -> int:
-    if delivered:
-        mask &= mask - 1  # clears the most urgent (lowest) set bit
-    mask >>= 1
-    if arrival:
-        mask |= 1 << (lifetime - 1)
-    return mask
-
-
 class TwoDeviceModel:
-    """Pair kernel [a, l1 * masks + l2, s'] and reward vector of the joint chain."""
+    """Pair kernel [a, l1 * masks + l2, s'] and reward vector of the joint chain.
+
+    _build reads the kernel off a table of the six slot outcomes: collision,
+    agent decoded or not, peer decoded or not, idle.  A row holds the
+    outcome's probability given whether the peer holds a packet and whether
+    the agent sends, who delivers, and the agent's next observation.  Each
+    row is added over all pairs and arrival combinations at once; a cell
+    gathers at most two nonzero terms, in row order, so no sum is reordered.
+    """
 
     def __init__(self, params: TwoDeviceParams, lifetime: int):
         if lifetime < 1:
@@ -122,55 +122,38 @@ class TwoDeviceModel:
         return pair // self.masks, pair % self.masks, o
 
     def _build(self) -> np.ndarray:
-        p = self.params
-        m = self.masks
-        # transitions depend on (l1, l2, a) only, so one row serves the four
-        # source observations of a pair
-        pair_kernel = np.zeros((2, m * m, self.n_states))
-        arrivals = [
-            (a1, a2, (p.peer_arrival if a1 else 1 - p.peer_arrival)
-             * (p.agent_arrival if a2 else 1 - p.agent_arrival))
-            for a1 in (0, 1)
-            for a2 in (0, 1)
-        ]
-        for l1 in range(m):
-            for l2 in range(m):
-                row = l1 * m + l2
-                for a in (0, 1):
-                    agent_sends = bool(a) and l2 != 0
-                    branches = []  # (prob, delivered1, delivered2, obs)
-                    if l1 != 0:
-                        pt = p.peer_transmit
-                        if agent_sends:
-                            branches.append((pt, False, False, 3))
-                            branches.append(
-                                ((1 - pt) * p.agent_success, False, True, 2)
-                            )
-                            branches.append(
-                                ((1 - pt) * (1 - p.agent_success), False, False, 3)
-                            )
-                        else:
-                            branches.append((pt * p.peer_success, True, False, 1))
-                            branches.append(
-                                (pt * (1 - p.peer_success), False, False, 3)
-                            )
-                            branches.append((1 - pt, False, False, 0))
-                    elif agent_sends:
-                        branches.append((p.agent_success, False, True, 2))
-                        branches.append((1 - p.agent_success, False, False, 3))
-                    else:
-                        branches.append((1.0, False, False, 0))
-                    for prob, d1, d2, o2 in branches:
-                        if prob == 0.0:
-                            continue
-                        for a1, a2, pa in arrivals:
-                            if pa == 0.0:
-                                continue
-                            n1 = _advance_mask(l1, d1, a1, self.lifetime)
-                            n2 = _advance_mask(l2, d2, a2, self.lifetime)
-                            sp = (n1 * m + n2) * 4 + o2
-                            pair_kernel[a, row, sp] += prob * pa
-        return pair_kernel
+        p, m = self.params, self.masks
+        pt, ks = p.peer_transmit, p.agent_success
+        o = ChannelObservation
+        # P given (peer holds, agent sends) = (y, y), (y, n), (n, y), (n, n);
+        # whether the peer and the agent deliver; the observation
+        outcomes = (
+            ((pt, 0.0, 0.0, 0.0), False, False, o.FAILED),  # collision
+            (((1 - pt) * ks, 0.0, ks, 0.0), False, True, o.SUCCESSFUL),  # agent decoded
+            (((1 - pt) * (1 - ks), 0.0, 1 - ks, 0.0), False, False, o.FAILED),  # not decoded
+            ((0.0, pt * p.peer_success, 0.0, 0.0), True, False, o.BUSY),  # peer decoded
+            ((0.0, pt * (1 - p.peer_success), 0.0, 0.0), False, False, o.FAILED),  # not decoded
+            ((0.0, 1 - pt, 0.0, 1.0), False, False, o.IDLE),  # idle
+        )
+        l1, l2 = np.divmod(np.arange(m * m), m)
+        peer = l1 != 0
+        # arrival combinations (peer, agent) = (0, 0), (0, 1), (1, 0), (1, 1):
+        # their probabilities and the top bits they set in the next pair
+        pa = np.outer([1 - p.peer_arrival, p.peer_arrival],
+                      [1 - p.agent_arrival, p.agent_arrival]).ravel()
+        arrived = np.array([0, 1, m, m + 1]) << (self.lifetime - 1)
+        rows = np.arange(m * m)[:, None]
+        kernel = np.zeros((2, m * m, self.n_states))
+        for a, sends in enumerate((np.zeros(m * m, dtype=bool), l2 != 0)):
+            for (both, peer_only, agent_only, neither), d1, d2, obs in outcomes:
+                prob = np.where(peer, np.where(sends, both, peer_only),
+                                np.where(sends, agent_only, neither))
+                # a delivery clears the most urgent (lowest) set bit, then
+                # every packet ages one slot
+                pair = ((l1 & (l1 - 1) if d1 else l1) >> 1) * m + (
+                    (l2 & (l2 - 1) if d2 else l2) >> 1)
+                kernel[a, rows, (pair[:, None] + arrived) * 4 + obs] += prob[:, None] * pa
+        return kernel
 
     @cached_property
     def transitions(self) -> np.ndarray:
@@ -345,17 +328,13 @@ def constant_policy_throughput(params: TwoDeviceParams, transmit_prob: float) ->
     )
 
 
-def optimal_constant_policy(
-    params: TwoDeviceParams, lifetime: int = 1
-) -> tuple[str, float]:
+def optimal_constant_policy(params: TwoDeviceParams) -> tuple[str, float]:
     """Best constant agent policy at lifetime 1, in closed form.
 
     The throughput is affine in the agent's transmit probability, so the
     optimum sits at an endpoint: always transmit when the peer is quiet
     enough, never otherwise.
     """
-    if lifetime != 1:
-        raise ValueError("the constant-policy closed form only covers lifetime 1")
     p = params
     threshold = p.agent_success / (p.peer_success + p.agent_success)
     if p.peer_arrival * p.peer_transmit < threshold:

@@ -12,6 +12,7 @@ from dcra.env import (
     BLOCK,
     LEARNER_KINDS,
     MAX_DEVICES,
+    MAX_LEARNER_STATES,
     AgentSpec,
     DeviceSetup,
     Metrics,
@@ -250,6 +251,22 @@ class TestValidation:
         with pytest.raises(ValueError, match="senders"):
             ScenarioConfig(lifetime=1, horizon=1, seed=0, devices=(dev,) * (MAX_DEVICES + 1))
 
+    def test_learner_table_fits_state_cap(self):
+        # builds the configs only: nothing is simulated.  A full-state table
+        # has 2^D * 4 states, so the cap admits lifetimes up to `longest`
+        longest = (MAX_LEARNER_STATES // 4).bit_length() - 1
+        params = DeviceParams(0.5, 0.5)
+        for kind in ("r-full", "q-full"):
+            dev = DeviceSetup(params, AgentSpec.learner(kind))
+            ScenarioConfig(lifetime=longest, horizon=1, seed=0, devices=(dev,))
+            for lifetime in (longest + 1, 64):
+                size = 4 << lifetime
+                with pytest.raises(ValueError, match=rf"{kind} learner at lifetime "
+                                                     rf"{lifetime} needs {size} states"):
+                    ScenarioConfig(lifetime=lifetime, horizon=1, seed=0, devices=(dev,))
+        tiny = DeviceSetup(params, AgentSpec.learner("r-tiny"))
+        ScenarioConfig(lifetime=64, horizon=1, seed=0, devices=(tiny,))
+
     def test_trace_required_for_csv(self, tmp_path):
         cfg = ScenarioConfig(lifetime=1, horizon=10, seed=0,
                              devices=(blind_device(0.5, 0.5, 0.5),))
@@ -280,13 +297,22 @@ class TestRewardTable:
         assert [(o, a) for o, a, _ in impossible] == [(0, 1), (0, 1), (1, 1), (1, 1),
                                                       (2, 0), (2, 0)]
 
-    def test_impossible_cell_raises_in_run(self, monkeypatch):
-        monkeypatch.setattr(env, "_reward_table", lambda spec: [None] * 16)
+    @pytest.mark.parametrize("missing", [(0, 0), (1, 0), (3, 0), (2, 1), (3, 1)])
+    def test_reachable_cell_without_reward_raises_when_built(self, monkeypatch, missing):
+        def partial_reward(spec, obs, action, urgent):
+            if (obs, action) == missing:
+                raise ValueError("no such cell")
+            return reward_value(spec, obs, action, urgent)
+
+        monkeypatch.setattr(env, "reward_value", partial_reward)
+        match = f"no reward for observation {missing[0]} after action {missing[1]}"
+        with pytest.raises(ValueError, match=match):
+            env._reward_table(RewardSpec.two_level())
         cfg = ScenarioConfig(
             lifetime=1, horizon=10, seed=0,
             devices=(DeviceSetup(DeviceParams(0.5, 0.5), AgentSpec.learner("r-tiny")),),
         )
-        with pytest.raises(ValueError, match="cannot occur"):
+        with pytest.raises(ValueError, match=match):
             run(cfg)
 
 

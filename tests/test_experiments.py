@@ -383,23 +383,21 @@ class TestParallelRuns:
             assert (spawned / name).read_bytes() == (tmp_path / name).read_bytes()
 
     def test_failure_in_a_worker_names_its_seed(self, pools, monkeypatch):
-        # a full-state learner at lifetime 64 passes the config checks and
-        # raises inside run(), on the worker, when it sizes its 2^67 action values
+        # a horizon shorter than the sweep's window passes the config checks
+        # and raises on the worker, when the run's metrics take that window
         def failing_at_group_1(params, lifetime, agent, slots, seed, **kwargs):
             cfg = two_device_config(params, lifetime, agent, slots, seed, **kwargs)
             if seed != (9, 2, 1):
                 return cfg
-            bad = DeviceSetup(cfg.devices[1].params, AgentSpec.learner("r-full"))
-            return ScenarioConfig(lifetime=64, horizon=slots, seed=seed,
-                                  devices=(cfg.devices[0], bad))
+            return ScenarioConfig(lifetime=lifetime, horizon=10, seed=seed,
+                                  devices=cfg.devices)
 
         monkeypatch.setattr(experiments, "two_device_config", failing_at_group_1)
         with pytest.raises(RuntimeError, match=r"^group 1 at lifetime 2 \(seed \(9, 2, 1\)\) "
-                                               r"failed: cannot fit 'int' into an index-sized "
-                                               r"integer") as err:
+                                               r"failed: window 1000 outside \[1, 10\]") as err:
             run_sweep(groups=2, lifetimes=(1, 2), agents=("r-tiny",), seed=9,
                       slots=1_000, window=1_000)
         assert len(pools) == 1
-        assert isinstance(err.value.__cause__, OverflowError)
+        assert isinstance(err.value.__cause__, ValueError)
         # the remote traceback is attached where the run raised in a worker
         assert "_RemoteTraceback" in type(err.value.__cause__.__cause__).__name__

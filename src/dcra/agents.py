@@ -11,21 +11,15 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-import numpy as np
-
-from dcra.core import Action, ChannelObservation, LeadTimeQueue
+from dcra.core import Action, ChannelObservation
 
 __all__ = [
-    "LearnerConfig",
+    "LEARNER_KINDS",
     "RewardKind",
     "RewardSpec",
     "StateKind",
     "TabularLearner",
-    "encode_state",
-    "epsilon_at",
-    "policy_rows",
     "reward_value",
-    "state_payload",
     "state_space_size",
     "write_policy_csv",
 ]
@@ -56,13 +50,26 @@ def state_space_size(kind: StateKind, lifetime: int) -> int:
     return 2 * N_OBS
 
 
-def encode_state(kind: StateKind, queue: LeadTimeQueue, obs: int) -> int:
-    """Flat state index; the observation is the minor axis throughout."""
-    if kind is StateKind.FULL:
-        return queue.occupancy_mask() * N_OBS + obs
-    if kind is StateKind.HOL:
-        return queue.hol_lead_time() * N_OBS + obs
-    return (1 if queue.counts[0] else 0) * N_OBS + obs
+# learner kind -> (average reward, queue abstraction): the "r" kinds run
+# average-reward R-learning, which tracks a running gain estimate rho instead
+# of discounting, the "q" kinds one-step Q-learning on the discounted return
+LEARNER_KINDS = {
+    "q-full": (False, StateKind.FULL),
+    "q-hol": (False, StateKind.HOL),
+    "q-tiny": (False, StateKind.TINY),
+    "r-full": (True, StateKind.FULL),
+    "r-hol": (True, StateKind.HOL),
+    "r-tiny": (True, StateKind.TINY),
+}
+
+# every learner's hyper-parameters: the step size of its action values, of
+# the gain estimate (r kinds) and the discount (q kinds); epsilon decays
+# from 1 by EPSILON_DECAY a step down to EPSILON_FLOOR, reached at step 920
+STEP_SIZE = 0.01
+GAIN_STEP_SIZE = 0.01
+DISCOUNT = 0.9
+EPSILON_DECAY = 0.995
+EPSILON_FLOOR = 0.01
 
 
 class RewardKind(enum.Enum):
@@ -146,51 +153,11 @@ def reward_value(spec: RewardSpec, obs: int, action: int, urgent: bool) -> float
     return -5.0 if action == Action.TRANSMIT else 2.0
 
 
-@dataclass(frozen=True)
-class LearnerConfig:
-    """Hyper-parameters shared by the tabular learners.
-
-    algorithm "q" is one-step Q-learning on the discounted return; "r" is the
-    average-reward variant that tracks a running gain estimate rho instead of
-    discounting.  Exploration is epsilon-greedy with epsilon decaying
-    geometrically from 1 to a floor.  An action is scored with the feedback
-    it produced: the update for (s_t, a_t) uses the observation that arrives
-    at the start of slot t+1.
-    """
-
-    algorithm: str = "r"
-    state_kind: StateKind = StateKind.TINY
-    reward: RewardSpec = RewardSpec()
-    step_size: float = 0.01
-    gain_step_size: float = 0.01
-    discount: float = 0.9
-    epsilon_decay: float = 0.995
-    epsilon_floor: float = 0.01
-
-    def __post_init__(self) -> None:
-        if self.algorithm not in ("q", "r"):
-            raise ValueError(f"algorithm must be 'q' or 'r', got {self.algorithm!r}")
-        if not 0.0 < self.step_size <= 1.0:
-            raise ValueError(f"step_size {self.step_size} outside (0, 1]")
-        if not 0.0 < self.gain_step_size <= 1.0:
-            raise ValueError(f"gain_step_size {self.gain_step_size} outside (0, 1]")
-        if not 0.0 <= self.discount < 1.0:
-            raise ValueError(f"discount {self.discount} outside [0, 1)")
-        if not 0.0 < self.epsilon_decay <= 1.0:
-            raise ValueError(f"epsilon_decay {self.epsilon_decay} outside (0, 1]")
-        if not 0.0 <= self.epsilon_floor <= 1.0:
-            raise ValueError(f"epsilon_floor {self.epsilon_floor} outside [0, 1]")
-
-
-def epsilon_at(config: LearnerConfig, step: int) -> float:
-    """Exploration rate at 1-based step t: max(decay^(t-1), floor)."""
-    if step < 1:
-        raise ValueError(f"step is 1-based, got {step}")
-    return max(config.epsilon_decay ** (step - 1), config.epsilon_floor)
-
-
 class TabularLearner:
-    """Flat-table epsilon-greedy learner over a fixed finite state space.
+    """Flat-table epsilon-greedy learner of one LEARNER_KINDS kind, run at
+    the module's constants.  An action is scored with the feedback it
+    produced: the update for (s_t, a_t) uses the observation that arrives at
+    the start of slot t+1.
 
     The action-value table starts at zero and lives in a flat list indexed by
     2*state + action with WAIT at offset 0, which also fixes the tie-break:
@@ -203,10 +170,12 @@ class TabularLearner:
     mirrored there (tests/oracles.py::reference_run checks the two agree).
     """
 
-    def __init__(self, config: LearnerConfig, lifetime: int, rng) -> None:
-        self.config = config
+    def __init__(self, kind: str, lifetime: int, rng) -> None:
+        if kind not in LEARNER_KINDS:
+            raise ValueError(f"unknown learner kind {kind!r}")
+        self.average, self.state_kind = LEARNER_KINDS[kind]
         self.lifetime = lifetime
-        self.n_states = state_space_size(config.state_kind, lifetime)
+        self.n_states = state_space_size(self.state_kind, lifetime)
         self.q = [0.0] * (2 * self.n_states)
         self.rho = 0.0
         self.steps = 0
@@ -215,17 +184,16 @@ class TabularLearner:
 
     def epsilon(self) -> float:
         """Exploration rate that the next select() call will use."""
-        return max(self._epsilon, self.config.epsilon_floor)
+        return max(self._epsilon, EPSILON_FLOOR)
 
     def select(self, state: int) -> int:
         """Epsilon-greedy action; exploration draws uniformly over both."""
         self.steps += 1
         eps = self._epsilon
-        floor = self.config.epsilon_floor
-        if eps < floor:
-            eps = floor
+        if eps < EPSILON_FLOOR:
+            eps = EPSILON_FLOOR
         else:
-            self._epsilon *= self.config.epsilon_decay
+            self._epsilon *= EPSILON_DECAY
         rng = self.rng
         if rng.random() < eps:
             return Action.TRANSMIT if rng.random() < 0.5 else Action.WAIT
@@ -241,55 +209,17 @@ class TabularLearner:
         nb = 2 * next_state
         best_next = q[nb + 1] if q[nb + 1] > q[nb] else q[nb]
         i = 2 * state + action
-        cfg = self.config
-        if cfg.algorithm == "q":
-            q[i] += cfg.step_size * (reward + cfg.discount * best_next - q[i])
-        else:
+        if self.average:
             # one error term from pre-update values drives both increments
             delta = reward + best_next - q[i] - self.rho
-            q[i] += cfg.step_size * delta
-            self.rho += cfg.gain_step_size * delta
+            q[i] += STEP_SIZE * delta
+            self.rho += GAIN_STEP_SIZE * delta
+        else:
+            q[i] += STEP_SIZE * (reward + DISCOUNT * best_next - q[i])
 
     def greedy_policy(self) -> list[int]:
         """Greedy action per state, ties resolved to WAIT."""
         return [self.greedy(s) for s in range(self.n_states)]
-
-    def q_table(self) -> np.ndarray:
-        """Copy of the action values as an (n_states, 2) array."""
-        return np.asarray(self.q, dtype=float).reshape(self.n_states, 2)
-
-
-def state_payload(kind: StateKind, lifetime: int, state: int) -> tuple[str, str]:
-    """Human-readable (queue payload, observation name) for a state index.
-
-    FULL payloads list bucket occupancy most-urgent-first ("10" is a packet
-    due this slot and nothing behind it); HOL payloads are the head-of-line
-    lead time; TINY payloads are the urgency bit.
-    """
-    payload_idx, obs = state >> 2, state & 3
-    if kind is StateKind.FULL:
-        payload = "".join("1" if (payload_idx >> k) & 1 else "0" for k in range(lifetime))
-    else:
-        payload = str(payload_idx)
-    return payload, ChannelObservation(obs).name
-
-
-def policy_rows(learner: TabularLearner) -> list[tuple[str, str, str, str, float, float]]:
-    """One row per state in index order: abstraction, payload, observation,
-    greedy action, and both action values."""
-    kind = learner.config.state_kind
-    rows = []
-    for s in range(learner.n_states):
-        payload, obs_name = state_payload(kind, learner.lifetime, s)
-        rows.append((
-            kind.value,
-            payload,
-            obs_name,
-            Action(learner.greedy(s)).name,
-            learner.q[2 * s],
-            learner.q[2 * s + 1],
-        ))
-    return rows
 
 
 def write_policy_csv(learner: TabularLearner, path: str) -> None:
@@ -297,11 +227,20 @@ def write_policy_csv(learner: TabularLearner, path: str) -> None:
 
     The first line is a comment carrying the average-reward estimate
     ("# rho=<value>", empty for discounted learners); then one CSV row per
-    state in index order.
+    state in index order: abstraction, queue payload, observation, greedy
+    action and both action values.  FULL payloads list bucket occupancy
+    most-urgent-first ("10" is a packet due this slot and nothing behind
+    it); HOL payloads are the head-of-line lead time; TINY payloads are the
+    urgency bit.
     """
+    kind, q = learner.state_kind, learner.q
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        rho = repr(learner.rho) if learner.config.algorithm == "r" else ""
+        rho = repr(learner.rho) if learner.average else ""
         fh.write(f"# rho={rho}\n")
         fh.write("abstraction,payload,observation,action,q_wait,q_transmit\n")
-        for abstraction, payload, obs, action, qw, qt in policy_rows(learner):
-            fh.write(f"{abstraction},{payload},{obs},{action},{qw!r},{qt!r}\n")
+        for s in range(learner.n_states):
+            payload = s >> 2
+            if kind is StateKind.FULL:
+                payload = "".join(str((payload >> k) & 1) for k in range(learner.lifetime))
+            fh.write(f"{kind.value},{payload},{ChannelObservation(s & 3).name},"
+                     f"{Action(learner.greedy(s)).name},{q[2 * s]!r},{q[2 * s + 1]!r}\n")

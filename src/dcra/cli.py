@@ -16,8 +16,8 @@ import os
 import sys
 
 from . import experiments
-from .agents import RewardSpec, write_policy_csv
-from .env import LEARNER_KINDS, run, write_trace_csv
+from .agents import LEARNER_KINDS, RewardSpec, write_policy_csv
+from .env import run, write_trace_csv
 from .mdp import TwoDeviceParams, bound_program, build_mdp, majority_policy, upper_bound
 from .simplex import write_mps
 
@@ -166,9 +166,39 @@ DEFAULTS = {
 }
 
 
+def _flags(command: str) -> dict[str, argparse.Action]:
+    """The subcommand's flags by destination."""
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    return {a.dest: a for a in sub.choices[command]._actions}
+
+
+def _expected(flag: argparse.Action, value) -> str | None:
+    """None when a config-file value is one the flag itself could produce,
+    else what the flag takes, in words."""
+    if flag.nargs == 0:
+        return None if isinstance(value, bool) else "true or false"
+    kinds = {int: int, float: (int, float)}.get(flag.type, str)
+    items = value if flag.nargs else [value]
+    if (isinstance(items, list) and items
+            and (flag.nargs == "+" or flag.nargs is None or len(items) == flag.nargs)
+            and all(isinstance(v, kinds) and not isinstance(v, bool)
+                    and (flag.choices is None or v in flag.choices) for v in items)):
+        return None
+    one, many = {int: ("an integer", "integers"), float: ("a number", "numbers")}.get(
+        flag.type, ("a string", "strings"))
+    if flag.nargs:
+        one = f"a list of {'one or more' if flag.nargs == '+' else flag.nargs} {many}"
+    return one + (f" from {', '.join(flag.choices)}" if flag.choices else "")
+
+
 def _merge_options(args: argparse.Namespace) -> dict:
-    """defaults < config file < explicit flags."""
-    merged = dict(DEFAULTS[args.command])
+    """defaults < config file < explicit flags.
+
+    A config value must be one its flag could produce (type, arity and
+    choices), or null where the flag has no default.
+    """
+    defaults = DEFAULTS[args.command]
+    merged = dict(defaults)
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
@@ -177,10 +207,15 @@ def _merge_options(args: argparse.Namespace) -> dict:
             raise RuntimeError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise RuntimeError(f"config {args.config} must hold a JSON object")
+        flags = _flags(args.command)
         for key, value in loaded.items():
             key = key.replace("-", "_")
             if key not in merged:
                 raise RuntimeError(f"config {args.config}: unknown key {key!r}")
+            expected = _expected(flags[key], value)
+            if expected and not (value is None and defaults[key] is None):
+                raise RuntimeError(f"config {args.config}: {key!r} must be {expected}, "
+                                   f"got {json.dumps(value)}")
             merged[key] = value
     for key, value in vars(args).items():
         if key in ("command", "config") or value is None:

@@ -32,7 +32,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from dcra.agents import (
-    LearnerConfig,
+    DISCOUNT,
+    EPSILON_DECAY,
+    EPSILON_FLOOR,
+    GAIN_STEP_SIZE,
+    LEARNER_KINDS,
+    STEP_SIZE,
     RewardSpec,
     StateKind,
     TabularLearner,
@@ -52,16 +57,6 @@ __all__ = [
     "run",
     "write_trace_csv",
 ]
-
-LEARNER_KINDS = {
-    "q-full": ("q", StateKind.FULL),
-    "q-hol": ("q", StateKind.HOL),
-    "q-tiny": ("q", StateKind.TINY),
-    "r-full": ("r", StateKind.FULL),
-    "r-hol": ("r", StateKind.HOL),
-    "r-tiny": ("r", StateKind.TINY),
-}
-
 
 # slots per block of channel and arrival draws
 BLOCK = 4096
@@ -104,8 +99,9 @@ class AgentSpec:
 
     kind "blind" retransmits the head-of-line packet with a fixed probability
     (taken from transmit_prob, else from the device params).  The learner
-    kinds combine an algorithm with a queue abstraction: q-full, r-full,
-    r-hol, r-tiny and the remaining crossings.
+    kinds of agents.LEARNER_KINDS combine an algorithm with a queue
+    abstraction: q-full, r-full, r-hol, r-tiny and the remaining crossings;
+    `reward` scores a learner's slots.
     """
 
     kind: str = "blind"
@@ -132,14 +128,6 @@ class AgentSpec:
     @classmethod
     def learner(cls, kind: str, reward: RewardSpec | None = None) -> "AgentSpec":
         return cls(kind, None, reward if reward is not None else RewardSpec())
-
-    def learner_config(self) -> LearnerConfig:
-        algorithm, state_kind = LEARNER_KINDS[self.kind]
-        return LearnerConfig(
-            algorithm=algorithm,
-            state_kind=state_kind,
-            reward=self.reward,
-        )
 
 
 @dataclass(frozen=True)
@@ -282,7 +270,9 @@ def run(config: ScenarioConfig, trace: bool = False) -> RunResult:
     Slot 1 starts with empty queues and an IDLE observation everywhere.
     Learners update once per slot on (s_t, a_t, r, s_{t+1}); the reward sees
     the physical action, so a TRANSMIT chosen on an empty queue scores as the
-    WAIT it actually was.
+    WAIT it actually was.  A learner is set by its agent kind and reward
+    alone: every kind runs at the step sizes, discount and exploration
+    schedule of the dcra.agents constants.
 
     The slot loop is the inlined form of the single-step API: it reads the
     policy streams' buffers directly, acts and learns on each learner's own
@@ -324,15 +314,13 @@ def run(config: ScenarioConfig, trace: bool = False) -> RunResult:
             blind_act.append((i, dev.blind_transmit_prob(), streams[i]))
             blind_close.append(i)
             continue
-        cfg = dev.agent.learner_config()
-        learner = TabularLearner(cfg, lifetime, streams[i])
+        learner = TabularLearner(dev.agent.kind, lifetime, streams[i])
         learners.append(learner)
         eps[i] = learner._epsilon
         rhos[i] = learner.rho
-        learn_act.append((i, learner.q, cfg.epsilon_floor, cfg.epsilon_decay, streams[i]))
+        learn_act.append((i, learner.q, streams[i]))
         learn_close.append((
-            i, learner.q, cfg.state_kind, _reward_table(cfg.reward), cfg.algorithm == "r",
-            cfg.step_size, cfg.gain_step_size, cfg.discount,
+            i, learner.q, learner.state_kind, _reward_table(dev.agent.reward), learner.average,
         ))
 
     # a state s is kept doubled, as 2*s, the index of its WAIT value in the
@@ -342,6 +330,9 @@ def run(config: ScenarioConfig, trace: bool = False) -> RunResult:
     chosen = [0] * n  # q index of the action each learner took this slot
     sent = [False] * n
     tiny, hol = StateKind.TINY, StateKind.HOL
+    # the learners' constants, as locals for the loop
+    floor, decay = EPSILON_FLOOR, EPSILON_DECAY
+    step, gain_step, discount = STEP_SIZE, GAIN_STEP_SIZE, DISCOUNT
 
     delivered_arr = np.zeros(horizon, dtype=np.uint8)
     senders_arr = np.zeros(horizon, dtype=np.int16)
@@ -379,7 +370,7 @@ def run(config: ScenarioConfig, trace: bool = False) -> RunResult:
                         lone = i
                         continue
                 sent[i] = False
-            for i, q, floor, decay, stream in learn_act:
+            for i, q, stream in learn_act:
                 # epsilon-greedy select
                 e = eps[i]
                 if e < floor:
@@ -429,7 +420,7 @@ def run(config: ScenarioConfig, trace: bool = False) -> RunResult:
                 if i == winner:
                     m &= m - 1
                 masks[i] = (m >> 1) | (arrs[i][j] << top)
-            for i, q, kind, table, average, step, gain_step, discount in learn_close:
+            for i, q, kind, table, average in learn_close:
                 m = masks[i]
                 urgent = m & 1
                 if i == winner:

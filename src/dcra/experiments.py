@@ -265,6 +265,10 @@ def run_sweep(
     """
     if groups < 1:
         raise ValueError("need at least one group")
+    if not lifetimes:
+        raise ValueError("lifetimes must name at least one lifetime")
+    if not agents:
+        raise ValueError("agents must name at least one agent kind")
     if not 1 <= window <= slots:
         raise ValueError(f"window {window} outside [1, {slots}]")
     header = ["group"] + PARAM_COLUMNS
@@ -330,6 +334,8 @@ def run_convergence(
     """Windowed-throughput time series per lifetime for one agent kind."""
     if window < 1 or slots < window:
         raise ValueError("slots must cover at least one window")
+    if not lifetimes:
+        raise ValueError("lifetimes must name at least one lifetime")
     header = PARAM_COLUMNS + ["agent", "slot", "throughput"]
     configs = [
         two_device_config(params, lifetime, agent, slots, seed=(seed, lifetime))
@@ -393,6 +399,8 @@ def run_congestion(
     """
     if peer_count < 1:
         raise ValueError("need at least one congesting peer")
+    if min(agent_counts, default=0) < 0:
+        raise ValueError(f"agent_counts must not be negative, got {min(agent_counts)}")
     peer_transmit = 1.0 / (4.0 * peer_count)
     header = PARAM_COLUMNS + [
         "agent_arrivals",

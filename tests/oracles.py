@@ -9,9 +9,38 @@ from itertools import combinations
 
 import numpy as np
 
-from dcra.agents import TabularLearner, encode_state, reward_value
+from dcra.agents import (
+    EPSILON_DECAY,
+    EPSILON_FLOOR,
+    N_OBS,
+    StateKind,
+    TabularLearner,
+    reward_value,
+)
 from dcra.core import Action, ApFeedback, ChannelObservation, DeviceParams, LeadTimeQueue
 from dcra.env import Metrics, RunResult, SlotRecord, UniformStream
+
+
+def encode_state(kind: StateKind, queue: LeadTimeQueue, obs: int) -> int:
+    """Flat state index of a learner that sees `queue` through `kind`; the
+    observation is the minor axis throughout."""
+    if kind is StateKind.FULL:
+        return queue.occupancy_mask() * N_OBS + obs
+    if kind is StateKind.HOL:
+        return queue.hol_lead_time() * N_OBS + obs
+    return (1 if queue.counts[0] else 0) * N_OBS + obs
+
+
+def epsilon_at(step: int) -> float:
+    """Exploration rate at 1-based step t, in closed form: max(decay^(t-1), floor)."""
+    if step < 1:
+        raise ValueError(f"step is 1-based, got {step}")
+    return max(EPSILON_DECAY ** (step - 1), EPSILON_FLOOR)
+
+
+def q_table(learner: TabularLearner) -> np.ndarray:
+    """Copy of a learner's action values as an (n_states, 2) array."""
+    return np.asarray(learner.q, dtype=float).reshape(learner.n_states, 2)
 
 
 def draw_arrivals(params: DeviceParams, rng: np.random.Generator) -> int:
@@ -180,10 +209,10 @@ def reference_run(config, trace=False):
         stream = UniformStream(children[n + 1 + i])
         policy.append(stream)
         if dev.agent.is_learner:
-            cfg = dev.agent.learner_config()
-            learners.append(TabularLearner(cfg, config.lifetime, stream))
+            learner = TabularLearner(dev.agent.kind, config.lifetime, stream)
+            learners.append(learner)
             blind_prob.append(0.0)
-            states.append(encode_state(cfg.state_kind, queues[i], 0))
+            states.append(encode_state(learner.state_kind, queues[i], 0))
         else:
             learners.append(None)
             blind_prob.append(dev.blind_transmit_prob())
@@ -218,9 +247,8 @@ def reference_run(config, trace=False):
             expired = queues[i].advance(i == winner, arrivals)
             learner = learners[i]
             if learner is not None:
-                cfg = learner.config
-                next_state = encode_state(cfg.state_kind, queues[i], obs[i])
-                reward = reward_value(cfg.reward, obs[i], 1 if sent[i] else 0, urgent)
+                next_state = encode_state(learner.state_kind, queues[i], obs[i])
+                reward = reward_value(devices[i].agent.reward, obs[i], int(sent[i]), urgent)
                 learner.update(states[i], actions[i], reward, next_state)
                 states[i] = next_state
             slot_arrivals[i] = arrivals

@@ -17,10 +17,10 @@ from functools import partial
 import numpy as np
 import pytest
 
-from oracles import one_slot_transition_mc, relative_value_iteration
+from oracles import epsilon_at, one_slot_transition_mc, relative_value_iteration
 
 from dcra import experiments
-from dcra.agents import LearnerConfig, RewardSpec, epsilon_at
+from dcra.agents import RewardSpec
 from dcra.core import DeviceParams
 from dcra.env import AgentSpec, DeviceSetup, ScenarioConfig, run, write_trace_csv
 from dcra.mdp import (
@@ -473,8 +473,7 @@ def test_property_battery(tmp_path):
     checks.append(("graded crowd completes", np.isfinite(crowd.timely_throughput())))
 
     # exploration schedule: 1.0 at the first step, floor from step 920 on
-    config = LearnerConfig()
-    eps = [epsilon_at(config, t) for t in range(1, 2001)]
+    eps = [epsilon_at(t) for t in range(1, 2001)]
     checks.append(
         (
             "exploration schedule",

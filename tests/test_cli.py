@@ -280,6 +280,46 @@ def test_config_unknown_key_rejected(capsys, tmp_path):
     assert "no_such_option" in err
 
 
+@pytest.mark.parametrize("command, options, key", [
+    ("sweep", {"lifetimes": 2}, "lifetimes"),
+    ("sweep", {"lifetimes": []}, "lifetimes"),
+    ("sweep", {"agents": []}, "agents"),
+    ("sweep", {"agents": ["r-tiny", "sarsa"]}, "agents"),
+    ("sweep", {"arrival-range": [0.1]}, "arrival_range"),
+    ("sweep", {"with_bound": "yes"}, "with_bound"),
+    ("simulate", {"slots": "100"}, "slots"),
+    ("simulate", {"seed": True}, "seed"),
+    ("simulate", {"lifetime": None}, "lifetime"),
+    ("simulate", {"reward": 1}, "reward"),
+    ("upper-bound", {"lifetime": 2.5}, "lifetime"),
+    ("congestion", {"agent_counts": [10, 2.0]}, "agent_counts"),
+])
+def test_config_value_must_fit_its_flag(capsys, tmp_path, command, options, key):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(options))
+    rc, out, err = run_cli(capsys, command, "--config", str(cfg))
+    assert rc == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert repr(key) in err
+
+
+def test_config_accepts_what_its_flags_would(capsys, tmp_path):
+    # an integer where a float flag is expected, null where the default is null
+    cfg = tmp_path / "ok.json"
+    cfg.write_text(json.dumps({
+        "peer_arrival": 1, "window": None, "slots": 200, "lifetime": 1, "seed": 2,
+    }))
+    rc, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
+    assert rc == 0 and err == ""
+
+
+def test_study_rejects_empty_or_negative_inputs(capsys, tmp_path):
+    rc, _, err = run_cli(capsys, "congestion", "--agent-counts", "-2",
+                         "--out", str(tmp_path / "cong.csv"))
+    assert rc == 1 and err.startswith("error:") and "agent_counts" in err
+    assert not (tmp_path / "cong.csv").exists()
+
+
 def test_config_unreadable_or_malformed(capsys, tmp_path):
     rc, _, err = run_cli(capsys, "simulate", "--config",
                          str(tmp_path / "missing.json"))

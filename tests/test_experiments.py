@@ -181,6 +181,14 @@ def test_run_sweep_rejects_bad_shape():
                   slots=100, window=200)
 
 
+@pytest.mark.parametrize("empty", ["lifetimes", "agents"])
+def test_run_sweep_rejects_empty_inputs(empty):
+    shape = dict(groups=1, lifetimes=(1,), agents=("blind",), seed=1,
+                 slots=1_000, window=1_000)
+    with pytest.raises(ValueError, match=empty):
+        run_sweep(**{**shape, empty: ()})
+
+
 def test_run_sweep_failed_group_reports_seed():
     with pytest.raises(RuntimeError, match=r"\(seed \(9, 1, 0\)\)"):
         run_sweep(groups=1, lifetimes=(1,), agents=("no-such-agent",), seed=9,
@@ -211,6 +219,13 @@ def test_run_convergence_rejects_short_horizon():
     with pytest.raises(ValueError):
         run_convergence(params, lifetimes=(1,), agent="r-tiny", seed=0,
                         slots=100, window=200)
+
+
+def test_run_convergence_rejects_empty_lifetimes():
+    params = TwoDeviceParams(0.5, 0.4, 0.7, 0.6, 0.4)
+    with pytest.raises(ValueError, match="lifetimes"):
+        run_convergence(params, lifetimes=(), agent="r-tiny", seed=0,
+                        slots=1_000, window=1_000)
 
 
 @pytest.fixture(scope="module")
@@ -264,6 +279,11 @@ class TestCongestion:
 def test_run_congestion_rejects_zero_peers():
     with pytest.raises(ValueError):
         run_congestion(peer_count=0, agent_counts=(1,), seed=0)
+
+
+def test_run_congestion_rejects_negative_agent_count():
+    with pytest.raises(ValueError, match="agent_counts"):
+        run_congestion(peer_count=1, agent_counts=(2, -2), seed=0)
 
 
 # small shapes with at least two runs each, so _run_all starts a pool

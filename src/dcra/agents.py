@@ -165,9 +165,13 @@ class TabularLearner:
     step counting never resets, so epsilon keeps decaying across the whole
     life of the learner.
 
-    env.run performs the same select/update steps inline on `q` and writes
-    rho, steps and the epsilon state back; a change to either method must be
-    mirrored there (tests/oracles.py::reference_run checks the two agree).
+    env.run performs the same steps without calling either method: its
+    exploration plan makes select()'s draws a block at a time and advances
+    steps and the epsilon state, and its generated slot loop makes the greedy
+    comparison and the update inline on `q` and writes rho back.  A change to
+    either method must be mirrored in env._exploration_plan and in the
+    templates env generates the loop from (tests/oracles.py::reference_run
+    checks the two agree).
     """
 
     def __init__(self, kind: str, lifetime: int, rng) -> None:

@@ -21,13 +21,19 @@ consumes exactly one uniform per slot whether or not anyone transmitted.
 
 The channel and arrival streams are drawn BLOCK slots at a time (one
 uniform per slot each), which yields the same sequence as drawing them slot
-by slot.  Policy streams take 0, 1 or 2 uniforms per slot,
-so they stay buffered in a UniformStream whose buffer the slot loop reads.
+by slot.  Policy streams take 0, 1 or 2 uniforms per slot, so they stay
+buffered in a UniformStream.  A blind device's draws depend on its queue,
+and the slot loop reads its buffer directly.  A learner's do not: each block
+its stream is read ahead into an exploration plan, the explored action or
+GREEDY for every slot, with the consumption select() would have.
 """
 
 from __future__ import annotations
 
+import functools
+import linecache
 from dataclasses import dataclass
+from itertools import compress, groupby
 
 import numpy as np
 
@@ -60,6 +66,8 @@ __all__ = [
 
 # slots per block of channel and arrival draws
 BLOCK = 4096
+# uniforms per refill of a policy stream
+STREAM_BLOCK = 8192
 
 
 class UniformStream:
@@ -72,7 +80,7 @@ class UniformStream:
 
     __slots__ = ("_gen", "_buf", "_pos", "_block")
 
-    def __init__(self, seed, block: int = 8192) -> None:
+    def __init__(self, seed, block: int = STREAM_BLOCK) -> None:
         self._gen = np.random.default_rng(seed)
         self._block = block
         self._buf: list[float] = []
@@ -264,6 +272,303 @@ def _reward_table(spec: RewardSpec) -> list[float | None]:
     return table
 
 
+# the exploration plan's entry for a slot whose select() acts greedily
+GREEDY = -1
+
+
+def _exploration_plan(learner: TabularLearner, n: int) -> list[int]:
+    """The learner's next n select() draws, as one entry per slot.
+
+    Entry j is GREEDY where slot j acts greedily, else the action it
+    explores.  The learner's UniformStream, step count and epsilon are left
+    as n select() calls would leave them: a slot takes one uniform, and one
+    more for the explored action when the first falls below epsilon.  While
+    epsilon decays the draws are read slot by slot; at EPSILON_FLOOR only the
+    uniforms below the floor are visited.
+    """
+    plan = [GREEDY] * n
+    stream = learner.rng
+    buf, pos = stream._buf, stream._pos
+    eps = learner._epsilon
+    j = 0
+    while j < n and eps >= EPSILON_FLOOR:
+        if pos == len(buf):
+            buf, pos = stream._refill(), 0
+        explore = buf[pos] < eps
+        eps *= EPSILON_DECAY
+        pos += 1
+        if explore:
+            if pos == len(buf):
+                buf, pos = stream._refill(), 0
+            plan[j] = 1 if buf[pos] < 0.5 else 0
+            pos += 1
+        j += 1
+    below = EPSILON_FLOOR.__gt__
+    while j < n:
+        if pos == len(buf):
+            buf, pos = stream._refill(), 0
+        # the slots left take the uniforms from pos to end unless they explore;
+        # each exploration pushes the slots after it one uniform further on
+        end = min(len(buf), pos + n - j)
+        for c in compress(range(pos, end), map(below, buf[pos:end])):
+            if c < pos:
+                continue  # drawn as the previous exploration's action
+            j += c - pos
+            pos = c + 1
+            if pos == len(buf):
+                buf, pos = stream._refill(), 0
+                end = 0  # the window's buffer is used up
+            plan[j] = 1 if buf[pos] < 0.5 else 0
+            pos += 1
+            j += 1
+        if pos < end:
+            j += end - pos
+            pos = end
+    stream._buf, stream._pos = buf, pos
+    learner._epsilon = eps
+    learner.steps += n
+    return plan
+
+
+# The slot loop is generated per device layout.  Each device gets the code of
+# its kind, with {i} its index; a line ending in "#T" is kept only in a
+# traced loop.  Per device the loop keeps in locals the queue mask m{i}; for a
+# blind device its probability pr{i}, stream st{i}, buffer b{i} and cursor
+# p{i}; for a learner its doubled state s{i}, the q index k{i} of the action
+# it took, the physical action x{i}, its q list q{i}, gain rho{i}, reward
+# table R{i} and the block's exploration plan P{i}.  run() hands the loop
+# fresh streams of STREAM_BLOCK uniforms a refill, so a blind device draws its
+# first buffer up front and refills when its cursor reaches pblock.
+
+_BLIND_SETUP = """\
+m{i} = 0
+pr{i} = probs[{i}]
+st{i} = streams[{i}]
+b{i} = st{i}._refill()
+p{i} = 0
+"""
+
+_LEARNER_SETUP = """\
+m{i} = s{i} = 0
+L{i} = learners[{i}]
+q{i} = L{i}.q
+rho{i} = L{i}.rho
+R{i} = tables[{i}]
+"""
+
+_BLIND_ACT = """\
+x{i} = False  #T
+if m{i}:
+    if p{i} == pblock:
+        b{i} = st{i}._refill()
+        p{i} = 0
+    if b{i}[p{i}] < pr{i}:
+        x{i} = True  #T
+        n_send += 1
+        lone = {i}
+    p{i} += 1
+"""
+
+_LEARNER_ACT = """\
+a = P{i}[j]
+if a < 0:
+    a = q{i}[s{i} + 1] > q{i}[s{i}]
+k{i} = s{i} + a
+if a and m{i}:
+    x{i} = True
+    n_send += 1
+    lone = {i}
+else:
+    x{i} = False
+"""
+
+# o is what every device but the winner observes: IDLE, BUSY after a decoded
+# slot, FAILED after a NACK; w is the winner, -1 for none
+_RESOLVE = """\
+if n_send == 0:
+    o = 0
+    w = -1
+elif n_send == 1 and chan[j] < success[lone]:
+    o = 1
+    w = lone
+    blk_delivered[j] = 1
+    blk_senders[j] = 1
+else:
+    o = 3
+    w = -1
+    blk_senders[j] = n_send
+"""
+
+# close out the slot: delivery, expiry, shift, arrivals
+_BLIND_CLOSE = """\
+if w == {i}:
+    m{i} &= m{i} - 1
+m{i} = (m{i} >> 1) | (A{i}[j] << top)
+"""
+
+# ... and, for a learner, the one-step update on (s, a, r, s'); its reward
+# sees the urgency bit of the mask before the slot closed
+_LEARNER_CLOSE = """\
+m = m{i}
+if w == {i}:
+    o2 = 2
+    m &= m - 1
+else:
+    o2 = o
+r = R{i}[(o2 << 2) | (x{i} << 1) | (m{i} & 1)]
+m{i} = m = (m >> 1) | (A{i}[j] << top)
+ns = {state}
+best = q{i}[ns]
+hi = q{i}[ns + 1]
+if hi > best:
+    best = hi
+{update}
+s{i} = ns
+"""
+
+_NEXT_STATE = {
+    StateKind.TINY: "((m & 1) << 3) | (o2 << 1)",
+    StateKind.HOL: "((m & -m).bit_length() << 3) | (o2 << 1)",
+    StateKind.FULL: "(m << 3) | (o2 << 1)",
+}
+
+_UPDATE = {
+    True: """\
+delta = r + best - q{i}[k{i}] - rho{i}
+q{i}[k{i}] += step * delta
+rho{i} += gain_step * delta""",
+    False: "q{i}[k{i}] += step * (r + discount * best - q{i}[k{i}])",
+}
+
+# expiries follow from conservation: backlog before, plus arrivals, minus the
+# delivery, minus backlog after
+_TRACE = """\
+arr = ({arr},)
+bl = ({backlog},)
+deliveries_cum += blk_delivered[j]
+transmissions_cum += n_send
+records.append(SlotRecord(
+    slot=t0 + j + 1,
+    sent=({sent},),
+    feedback=feedbacks[o],
+    winner=w if w >= 0 else None,
+    observations=({obs},),
+    arrivals=arr,
+    expired=({expired},),
+    backlog=bl,
+    deliveries_cum=deliveries_cum,
+    transmissions_cum=transmissions_cum,
+))
+bk = bl
+"""
+
+_LOOP = """\
+def slot_loop(horizon, block, pblock, top, channel_gen, arrival_gens, rates, success,
+              probs, streams, learners, tables, step, gain_step, discount,
+              delivered_arr, senders_arr, records):
+{setup}
+    lone = -1
+    bk = (0,) * len(rates)  #T
+    deliveries_cum = transmissions_cum = 0  #T
+    for t0 in range(0, horizon, block):
+        size = min(block, horizon - t0)
+        chan = channel_gen.random(size).tolist()
+        {arrivals}, = [(gen.random(size) < rate).view(uint8).tolist()
+                       for gen, rate in zip(arrival_gens, rates)]
+{plans}
+        blk_delivered = [0] * size
+        blk_senders = [0] * size
+        for j in range(size):
+            n_send = 0
+{act}
+{resolve}
+{close}
+{trace}
+        delivered_arr[t0:t0 + size] = blk_delivered
+        senders_arr[t0:t0 + size] = blk_senders
+{finish}
+"""
+
+
+def _code(kind: str) -> str:
+    """Short name of an agent kind: b for blind, else e.g. rt for r-tiny."""
+    return "b" if kind == "blind" else kind[0] + kind[2]
+
+
+def _loop_name(kinds: tuple[str, ...], traced: bool) -> str:
+    """Filename of a generated loop: its layout, runs of a kind as kind*count."""
+    runs = [(_code(kind), len(list(group))) for kind, group in groupby(kinds)]
+    layout = ",".join(code if count == 1 else f"{code}*{count}" for code, count in runs)
+    return f"<dcra slot loop {layout}{' traced' if traced else ''}>"
+
+
+def _loop_source(kinds: tuple[str, ...], traced: bool) -> str:
+    """Source of the slot loop for devices of these kinds, in this order."""
+    def block(template: str, depth: int, **fields) -> str:
+        lines = []
+        for line in template.format(**fields).splitlines():
+            if line.endswith("  #T"):
+                if not traced:
+                    continue
+                line = line[:-4]
+            lines.append(" " * depth + line if line else line)
+        return "\n".join(lines)
+
+    n = len(kinds)
+    learners = [i for i, kind in enumerate(kinds) if kind != "blind"]
+    setup, act, close = [], [], []
+    for i, kind in enumerate(kinds):
+        if kind == "blind":
+            setup.append(block(_BLIND_SETUP, 4, i=i))
+            act.append(block(_BLIND_ACT, 12, i=i))
+            close.append(block(_BLIND_CLOSE, 12, i=i))
+        else:
+            average, state_kind = LEARNER_KINDS[kind]
+            setup.append(block(_LEARNER_SETUP, 4, i=i))
+            act.append(block(_LEARNER_ACT, 12, i=i))
+            close.append(block(_LEARNER_CLOSE, 12, i=i, state=_NEXT_STATE[state_kind],
+                               update=_UPDATE[average].format(i=i)))
+    trace = ""
+    if traced:
+        trace = block(_TRACE, 12, **{
+            "arr": ", ".join(f"A{i}[j]" for i in range(n)),
+            "backlog": ", ".join(f"m{i}.bit_count()" for i in range(n)),
+            "sent": ", ".join(f"x{i}" for i in range(n)),
+            "obs": ", ".join(f"2 if w == {i} else o" for i in range(n)),
+            "expired": ", ".join(f"bk[{i}] + arr[{i}] - (w == {i}) - bl[{i}]" for i in range(n)),
+        })
+    return block(_LOOP, 0, **{
+        "setup": "\n".join(setup),
+        "arrivals": ", ".join(f"A{i}" for i in range(n)),
+        "plans": "\n".join(f"        P{i} = plan(L{i}, size)" for i in learners),
+        "act": "\n".join(act),
+        "resolve": block(_RESOLVE, 12),
+        "close": "\n".join(close),
+        "trace": trace,
+        "finish": "\n".join(f"    L{i}.rho = rho{i}" for i in learners),
+    }) + "\n"
+
+
+@functools.cache
+def _compiled_loop(kinds: tuple[str, ...], traced: bool):
+    """The slot loop for this layout, compiled once per process.
+
+    Its source is registered in linecache under the loop's name, so a
+    traceback through it shows the generated lines.
+    """
+    name = _loop_name(kinds, traced)
+    source = _loop_source(kinds, traced)
+    linecache.cache[name] = (len(source), None, source.splitlines(True), name)
+    namespace = {
+        "SlotRecord": SlotRecord,
+        "feedbacks": (ApFeedback.NOTHING, ApFeedback.ACK, None, ApFeedback.NACK),
+        "plan": _exploration_plan,
+        "uint8": np.uint8,
+    }
+    exec(compile(source, name, "exec"), namespace)
+    return namespace["slot_loop"]
+
+
 def run(config: ScenarioConfig, trace: bool = False) -> RunResult:
     """Simulate the scenario across its full horizon.
 
@@ -274,213 +579,51 @@ def run(config: ScenarioConfig, trace: bool = False) -> RunResult:
     alone: every kind runs at the step sizes, discount and exploration
     schedule of the dcra.agents constants.
 
-    The slot loop is the inlined form of the single-step API: it reads the
-    policy streams' buffers directly, acts and learns on each learner's own
-    q list, and keeps every queue as a bitmask of occupied buckets (bit k
-    set when a packet expires k+1 slots from now).  The learners returned
-    are in the state that select()/update() calls on the same slots would
-    leave.
+    The slot loop is the single-step API unrolled over the devices: its
+    source is generated from the layout (each device's kind, and whether
+    the run is traced) and compiled once per process for each layout.
+    Probabilities, tables and the lifetime are passed in, not written into
+    the source.  The loop keeps every queue as a bitmask of occupied buckets
+    (bit k set when a packet expires k+1 slots from now) and every
+    per-device value in a local.  A learner's epsilon-greedy draws are read
+    off its stream one block at a time, as an exploration plan, so the loop
+    only makes the greedy comparison.  The learners returned are in the
+    state that select()/update() calls on the same slots would leave.
     """
     devices = config.devices
     n = len(devices)
     horizon = config.horizon
-    lifetime = config.lifetime
-    top = lifetime - 1
 
     seed_seq = np.random.SeedSequence(config.seed)
     children = seed_seq.spawn(2 * n + 1)
     arrival_gens = [np.random.default_rng(children[i]) for i in range(n)]
     channel_gen = np.random.default_rng(children[n])
-
-    rates = [dev.params.arrival_rate for dev in devices]
-    success = [dev.params.success_prob for dev in devices]
-    masks = [0] * n
-
     streams = [UniformStream(children[n + 1 + i]) for i in range(n)]
-    pbuf = [s._buf for s in streams]
-    ppos = [s._pos for s in streams]
 
-    # per-device constants, unpacked by the loops below
-    blind_act: list[tuple] = []
-    blind_close: list[int] = []
-    learn_act: list[tuple] = []
-    learn_close: list[tuple] = []
     learners: list[TabularLearner | None] = []
-    eps = [0.0] * n
-    rhos = [0.0] * n
+    probs: list[float | None] = []
+    tables: list[list[float | None] | None] = []
     for i, dev in enumerate(devices):
-        if not dev.agent.is_learner:
+        if dev.agent.is_learner:
+            # a state s is kept doubled, as 2*s, the index of its WAIT value
+            # in the q list, so that 2*s + a indexes the value of action a
+            learners.append(TabularLearner(dev.agent.kind, config.lifetime, streams[i]))
+            tables.append(_reward_table(dev.agent.reward))
+            probs.append(None)
+        else:
             learners.append(None)
-            blind_act.append((i, dev.blind_transmit_prob(), streams[i]))
-            blind_close.append(i)
-            continue
-        learner = TabularLearner(dev.agent.kind, lifetime, streams[i])
-        learners.append(learner)
-        eps[i] = learner._epsilon
-        rhos[i] = learner.rho
-        learn_act.append((i, learner.q, streams[i]))
-        learn_close.append((
-            i, learner.q, learner.state_kind, _reward_table(dev.agent.reward), learner.average,
-        ))
-
-    # a state s is kept doubled, as 2*s, the index of its WAIT value in the
-    # q list, so that 2*s + a indexes the value of taking action a; every
-    # device starts empty with an IDLE observation, i.e. in state 0
-    states = [0] * n
-    chosen = [0] * n  # q index of the action each learner took this slot
-    sent = [False] * n
-    tiny, hol = StateKind.TINY, StateKind.HOL
-    # the learners' constants, as locals for the loop
-    floor, decay = EPSILON_FLOOR, EPSILON_DECAY
-    step, gain_step, discount = STEP_SIZE, GAIN_STEP_SIZE, DISCOUNT
+            tables.append(None)
+            probs.append(dev.blind_transmit_prob())
 
     delivered_arr = np.zeros(horizon, dtype=np.uint8)
     senders_arr = np.zeros(horizon, dtype=np.int16)
     records: list[SlotRecord] | None = [] if trace else None
-    deliveries_cum = 0
-    transmissions_cum = 0
-    backlog = [0] * n
-    # the feedback of a slot, indexed by what its non-winners observe
-    feedbacks = (ApFeedback.NOTHING, ApFeedback.ACK, None, ApFeedback.NACK)
-
-    for t0 in range(0, horizon, BLOCK):
-        m_len = min(BLOCK, horizon - t0)
-        chan = channel_gen.random(m_len).tolist()
-        arrs = [
-            (gen.random(m_len) < rate).view(np.uint8).tolist()
-            for gen, rate in zip(arrival_gens, rates)
-        ]
-        blk_delivered = [0] * m_len
-        blk_senders = [0] * m_len
-
-        for j in range(m_len):
-            n_send = 0
-            lone = -1
-            for i, prob, stream in blind_act:
-                if masks[i]:
-                    buf = pbuf[i]
-                    pos = ppos[i]
-                    if pos >= len(buf):
-                        buf = pbuf[i] = stream._refill()
-                        pos = 0
-                    ppos[i] = pos + 1
-                    if buf[pos] < prob:
-                        sent[i] = True
-                        n_send += 1
-                        lone = i
-                        continue
-                sent[i] = False
-            for i, q, stream in learn_act:
-                # epsilon-greedy select
-                e = eps[i]
-                if e < floor:
-                    e = floor
-                else:
-                    eps[i] = e * decay
-                buf = pbuf[i]
-                pos = ppos[i]
-                if pos >= len(buf):
-                    buf = pbuf[i] = stream._refill()
-                    pos = 0
-                s = states[i]
-                if buf[pos] < e:
-                    pos += 1
-                    if pos >= len(buf):
-                        buf = pbuf[i] = stream._refill()
-                        pos = 0
-                    a = 1 if buf[pos] < 0.5 else 0
-                else:
-                    a = 1 if q[s + 1] > q[s] else 0
-                ppos[i] = pos + 1
-                chosen[i] = s + a
-                if a and masks[i]:
-                    sent[i] = True
-                    n_send += 1
-                    lone = i
-                else:
-                    sent[i] = False
-
-            # o_all is what every device but the winner observes: IDLE,
-            # BUSY after a decoded slot, FAILED after a NACK
-            if n_send == 0:
-                o_all = 0
-                winner = -1
-            elif n_send == 1 and chan[j] < success[lone]:
-                o_all = 1
-                winner = lone
-                blk_delivered[j] = 1
-            else:
-                o_all = 3
-                winner = -1
-            blk_senders[j] = n_send
-
-            # close out the slot: delivery, expiry, shift, arrivals
-            for i in blind_close:
-                m = masks[i]
-                if i == winner:
-                    m &= m - 1
-                masks[i] = (m >> 1) | (arrs[i][j] << top)
-            for i, q, kind, table, average in learn_close:
-                m = masks[i]
-                urgent = m & 1
-                if i == winner:
-                    m &= m - 1
-                m = (m >> 1) | (arrs[i][j] << top)
-                masks[i] = m
-                o2 = 2 if i == winner else o_all
-                if kind is tiny:
-                    ns = ((m & 1) << 3) | (o2 << 1)
-                elif kind is hol:
-                    ns = ((m & -m).bit_length() << 3) | (o2 << 1)
-                else:
-                    ns = (m << 3) | (o2 << 1)
-                k = chosen[i]
-                reward = table[(o2 << 2) | (sent[i] << 1) | urgent]
-                # one-step update on (s, a, r, s')
-                best_next = q[ns + 1] if q[ns + 1] > q[ns] else q[ns]
-                if average:
-                    delta = reward + best_next - q[k] - rhos[i]
-                    q[k] += step * delta
-                    rhos[i] += gain_step * delta
-                else:
-                    q[k] += step * (reward + discount * best_next - q[k])
-                states[i] = ns
-
-            if records is not None:
-                # expiries follow from conservation: backlog before, plus
-                # arrivals, minus the delivery, minus backlog after
-                slot_arrivals = tuple(a[j] for a in arrs)
-                before = backlog
-                backlog = [m.bit_count() for m in masks]
-                deliveries_cum += blk_delivered[j]
-                transmissions_cum += n_send
-                records.append(SlotRecord(
-                    slot=t0 + j + 1,
-                    sent=tuple(sent),
-                    feedback=feedbacks[o_all],
-                    winner=winner if winner >= 0 else None,
-                    observations=tuple(2 if i == winner else o_all for i in range(n)),
-                    arrivals=slot_arrivals,
-                    expired=tuple(
-                        before[i] + slot_arrivals[i] - (i == winner) - backlog[i]
-                        for i in range(n)
-                    ),
-                    backlog=tuple(backlog),
-                    deliveries_cum=deliveries_cum,
-                    transmissions_cum=transmissions_cum,
-                ))
-
-        delivered_arr[t0:t0 + m_len] = blk_delivered
-        senders_arr[t0:t0 + m_len] = blk_senders
-
-    for i, learner in enumerate(learners):
-        if learner is not None:
-            learner.rho = rhos[i]
-            learner.steps += horizon
-            learner._epsilon = eps[i]
-    for i, stream in enumerate(streams):
-        stream._buf = pbuf[i]
-        stream._pos = ppos[i]
+    loop = _compiled_loop(tuple(dev.agent.kind for dev in devices), trace)
+    loop(horizon, BLOCK, STREAM_BLOCK, config.lifetime - 1, channel_gen, arrival_gens,
+         [dev.params.arrival_rate for dev in devices],
+         [dev.params.success_prob for dev in devices],
+         probs, streams, learners, tables, STEP_SIZE, GAIN_STEP_SIZE, DISCOUNT,
+         delivered_arr, senders_arr, records)
 
     return RunResult(
         config=config,

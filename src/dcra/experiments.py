@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import csv
 import os
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from functools import partial
 from typing import TypeVar
@@ -243,6 +243,12 @@ def _group_failed(seed: int, lifetime: int, g: int, exc: BaseException) -> Runti
     )
 
 
+def _reject_repeats(name: str, values: Sequence) -> None:
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise ValueError(f"{name} repeats {', '.join(map(str, repeated))}")
+
+
 def run_sweep(
     groups: int,
     lifetimes: tuple[int, ...],
@@ -269,6 +275,8 @@ def run_sweep(
         raise ValueError("lifetimes must name at least one lifetime")
     if not agents:
         raise ValueError("agents must name at least one agent kind")
+    _reject_repeats("lifetimes", lifetimes)
+    _reject_repeats("agents", agents)
     if not 1 <= window <= slots:
         raise ValueError(f"window {window} outside [1, {slots}]")
     header = ["group"] + PARAM_COLUMNS
@@ -394,13 +402,15 @@ def run_congestion(
     (arrival probability one), transmission probability 1/(4*peer_count),
     success probability one half.  Each agent count is run twice on the same
     scenario seed, once with learning devices and once with blind devices at
-    probability 1/count; agent count zero is the no-newcomer baseline, where
-    both arms degenerate to the same peers-only run.
+    probability 1/count.  The first row is always agent count zero, the
+    no-newcomer baseline, where both arms degenerate to the same peers-only
+    run; a 0 in `agent_counts` names that row and adds none.
     """
     if peer_count < 1:
         raise ValueError("need at least one congesting peer")
     if min(agent_counts, default=0) < 0:
         raise ValueError(f"agent_counts must not be negative, got {min(agent_counts)}")
+    _reject_repeats("agent_counts", agent_counts)
     peer_transmit = 1.0 / (4.0 * peer_count)
     header = PARAM_COLUMNS + [
         "agent_arrivals",
@@ -410,7 +420,7 @@ def run_congestion(
         "throughput_blind",
         "power_blind",
     ]
-    counts = (0,) + tuple(agent_counts)
+    counts = (0,) + tuple(c for c in agent_counts if c)
     learner = AgentSpec(agent, reward=RewardSpec.multi_level())
     configs = []  # one run for count 0, then learners and blind control
     drawn = []  # per count: the agents' (arrival, success) pairs

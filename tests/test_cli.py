@@ -320,6 +320,33 @@ def test_study_rejects_empty_or_negative_inputs(capsys, tmp_path):
     assert not (tmp_path / "cong.csv").exists()
 
 
+def test_congestion_writes_the_baseline_once(capsys, tmp_path):
+    out_path = tmp_path / "cong.csv"
+    rc, out, _ = run_cli(
+        capsys, "congestion", "--peer-count", "1", "--agent-counts", "0", "2",
+        "--lifetime", "2", "--slots", "3000", "--window", "1000",
+        "--out", str(out_path),
+    )
+    assert rc == 0 and "2 rows" in out
+    with open(out_path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    agent_count = rows[0].index("agent_count")
+    assert [row[agent_count] for row in rows[1:]] == ["0", "2"]
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("congestion", "--agent-counts", "2", "2"), "agent_counts"),
+    (("sweep", "--agents", "blind", "blind", "--lifetimes", "1"), "agents"),
+    (("sweep", "--agents", "blind", "--lifetimes", "1", "1"), "lifetimes"),
+])
+def test_study_rejects_repeated_inputs(capsys, tmp_path, argv, name):
+    out_path = tmp_path / "out.csv"
+    rc, _, err = run_cli(capsys, *argv, "--out", str(out_path))
+    assert rc == 1 and err.startswith("error:") and err.count("\n") == 1
+    assert f"{name} repeats" in err
+    assert not out_path.exists()
+
+
 def test_config_unreadable_or_malformed(capsys, tmp_path):
     rc, _, err = run_cli(capsys, "simulate", "--config",
                          str(tmp_path / "missing.json"))

@@ -1,12 +1,14 @@
 """Channel resolution, slot-loop semantics, metrics, and reproducibility."""
 
+import traceback
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from dcra import env
-from dcra.agents import RewardSpec, reward_value
+from dcra.agents import EPSILON_FLOOR, RewardSpec, TabularLearner, reward_value
 from dcra.core import ApFeedback, ChannelObservation, DeviceParams
 from dcra.env import (
     BLOCK,
@@ -62,6 +64,27 @@ class TestUniformStream:
         reference = np.random.default_rng(np.random.SeedSequence(77)).random(40)
         got = [stream.random() for _ in range(40)]
         assert np.allclose(got, reference, atol=0)
+
+
+class TestExplorationPlan:
+    """_exploration_plan reads a learner's stream as select() calls would."""
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 8192])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_select_calls(self, block, seed):
+        # small buffers put many explored actions' draws past a buffer's end
+        planned = TabularLearner("r-tiny", 2, UniformStream(seed, block=block))
+        selected = TabularLearner("r-tiny", 2, UniformStream(seed, block=block))
+        selected.greedy = lambda state: env.GREEDY
+        chunks = np.random.default_rng(seed).integers(1, 300, size=40)
+        for n in chunks:
+            want = [selected.select(0) for _ in range(n)]
+            assert env._exploration_plan(planned, int(n)) == want
+            assert planned.steps == selected.steps
+            assert planned.epsilon() == selected.epsilon()
+        assert planned.epsilon() == EPSILON_FLOOR  # past the decay, step 920
+        assert ([planned.rng.random() for _ in range(3)]
+                == [selected.rng.random() for _ in range(3)])
 
 
 class TestRunBasics:
@@ -387,6 +410,103 @@ class TestRunMatchesReference:
         untraced = run(config)
         assert untraced.trace is None
         self.assert_same_run(untraced, reference_run(config))
+
+
+def congestion_shape():
+    """One saturated blind peer and ten r-tiny learners on the multi-level
+    reward at D=10, as in `dcra congestion`, three blocks and one slot long."""
+    rng = np.random.default_rng(3)
+    peer = DeviceSetup(DeviceParams(1.0, 0.5, transmit_prob=0.25), AgentSpec.blind())
+    learners = tuple(
+        DeviceSetup(DeviceParams(*rng.uniform(0.1, 1.0, size=2)),
+                    AgentSpec.learner("r-tiny", RewardSpec.multi_level()))
+        for _ in range(10)
+    )
+    return ScenarioConfig(lifetime=10, horizon=3 * BLOCK + 1, seed=(7, 10),
+                          devices=(peer,) + learners)
+
+
+def every_kind_mix():
+    """Twelve devices: every learner kind, the three rewards in turn, and two
+    blind devices."""
+    rng = np.random.default_rng(4)
+    kinds = [*LEARNER_KINDS, "blind", "blind", *reversed(LEARNER_KINDS)][:12]
+    devices = []
+    for k, kind in enumerate(kinds):
+        params = DeviceParams(*rng.uniform(0.05, 0.6, size=2))
+        if kind == "blind":
+            devices.append(DeviceSetup(params, AgentSpec.blind(float(rng.uniform(0.1, 0.9)))))
+        else:
+            devices.append(DeviceSetup(params, AgentSpec.learner(kind, REWARDS[k % 3])))
+    return ScenarioConfig(lifetime=6, horizon=2 * BLOCK + 7, seed=12, devices=tuple(devices))
+
+
+class TestCompiledLoop:
+    """The generated slot loop at the shapes the studies run, its compile
+    cache, and tracebacks through it."""
+
+    @pytest.mark.parametrize("make", [congestion_shape, every_kind_mix])
+    def test_many_devices_match_reference(self, make):
+        config = make()
+        want = reference_run(config, trace=True)
+        traced = run(config, trace=True)
+        assert [repr(r) for r in traced.trace] == [repr(r) for r in want.trace]
+        TestRunMatchesReference.assert_same_run(traced, want)
+        TestRunMatchesReference.assert_same_run(run(config), reference_run(config))
+
+    def test_layout_compiles_once(self, monkeypatch):
+        def config(lifetime, seed, arrival, transmit):
+            return ScenarioConfig(lifetime=lifetime, horizon=50, seed=seed, devices=(
+                blind_device(arrival, 0.5, transmit),
+                DeviceSetup(DeviceParams(arrival, 0.9), AgentSpec.learner("q-hol")),
+                DeviceSetup(DeviceParams(0.3, 0.7),
+                            AgentSpec.learner("r-full", RewardSpec.two_level_shifted(transmit))),
+            ))
+
+        compiled = []
+        monkeypatch.setattr(env, "compile",
+                            lambda *args: compiled.append(args[1]) or compile(*args),
+                            raising=False)
+        env._compiled_loop.cache_clear()
+        run(config(2, 1, 0.4, 0.3))
+        run(config(5, 9, 0.8, 0.6))
+        assert compiled == ["<dcra slot loop b,qh,rf>"]
+        assert env._compiled_loop.cache_info().misses == 1
+        run(config(3, 2, 0.5, 0.5), trace=True)
+        assert compiled[1:] == ["<dcra slot loop b,qh,rf traced>"]
+
+    def test_loop_names_list_the_layout(self):
+        assert env._loop_name(tuple(d.agent.kind for d in congestion_shape().devices),
+                              False) == "<dcra slot loop b,rt*10>"
+        assert env._loop_name(("r-hol", "blind", "blind", "q-tiny"),
+                              True) == "<dcra slot loop rh,b*2,qt traced>"
+
+    def test_traceback_shows_the_generated_line(self, monkeypatch):
+        refill = UniformStream._refill
+        calls = []
+
+        def failing_refill(stream):
+            calls.append(stream)
+            if len(calls) == 2:
+                raise RuntimeError("stream refill failed")
+            return refill(stream)
+
+        monkeypatch.setattr(UniformStream, "_refill", failing_refill)
+        # a saturated sender draws once a slot from slot 2 on, so it needs
+        # its second policy buffer in slot 8194, within the third block
+        config = ScenarioConfig(lifetime=1, horizon=3 * BLOCK, seed=0,
+                                devices=(blind_device(1.0, 1.0, 1.0),))
+        with pytest.raises(RuntimeError, match="refill failed") as info:
+            run(config)
+        frames = [f for f in traceback.extract_tb(info.tb)
+                  if f.filename == "<dcra slot loop b>"]
+        assert len(frames) == 1 and frames[0].name == "slot_loop"
+        assert frames[0].line == "b0 = st0._refill()"
+        source = env._loop_source(("blind",), False).splitlines()
+        assert source[frames[0].lineno - 1].strip() == frames[0].line
+        text = "".join(traceback.format_exception(info.value))
+        assert f'File "<dcra slot loop b>", line {frames[0].lineno}, in slot_loop' in text
+        assert "b0 = st0._refill()" in text
 
 
 class TestRunProperties:

@@ -189,6 +189,15 @@ def test_run_sweep_rejects_empty_inputs(empty):
         run_sweep(**{**shape, empty: ()})
 
 
+@pytest.mark.parametrize("repeated", [{"lifetimes": (2, 1, 2)}, {"agents": ("blind", "blind")}])
+def test_run_sweep_rejects_repeated_inputs(repeated):
+    shape = dict(groups=1, lifetimes=(1,), agents=("blind",), seed=1,
+                 slots=1_000, window=1_000)
+    (name, values), = repeated.items()
+    with pytest.raises(ValueError, match=rf"{name} repeats {values[0]}"):
+        run_sweep(**{**shape, **repeated})
+
+
 def test_run_sweep_failed_group_reports_seed():
     with pytest.raises(RuntimeError, match=r"\(seed \(9, 1, 0\)\)"):
         run_sweep(groups=1, lifetimes=(1,), agents=("no-such-agent",), seed=9,
@@ -284,6 +293,28 @@ def test_run_congestion_rejects_zero_peers():
 def test_run_congestion_rejects_negative_agent_count():
     with pytest.raises(ValueError, match="agent_counts"):
         run_congestion(peer_count=1, agent_counts=(2, -2), seed=0)
+
+
+def test_run_congestion_zero_count_names_the_baseline(study, tmp_path):
+    result, path = study
+    again = tmp_path / "again.csv"
+    named = run_congestion(
+        peer_count=1, agent_counts=(0, 2), seed=11, lifetime=3,
+        slots=20_000, window=5_000, out_path=str(again),
+    )
+    assert named.rows == result.rows
+    assert [row[named.header.index("agent_count")] for row in named.rows] == [0, 2]
+    assert again.read_bytes() == path.read_bytes()
+    # the baseline stays the first row wherever the 0 stands
+    moved = run_congestion(peer_count=1, agent_counts=(2, 0), seed=11, lifetime=3,
+                           slots=20_000, window=5_000)
+    assert moved.rows == result.rows
+
+
+@pytest.mark.parametrize("counts", [(2, 2), (0, 3, 0), (1, 2, 1)])
+def test_run_congestion_rejects_repeated_agent_count(counts):
+    with pytest.raises(ValueError, match=rf"agent_counts repeats {counts[0]}"):
+        run_congestion(peer_count=1, agent_counts=counts, seed=0)
 
 
 # small shapes with at least two runs each, so _run_all starts a pool

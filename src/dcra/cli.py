@@ -1,10 +1,13 @@
 """Command-line entry points.
 
-Every subcommand accepts an optional --config JSON file whose keys mirror the
-flag names (dashes become underscores); explicit flags override the file,
-which overrides built-in defaults.  Output paths default into the directory
-named by DCRA_OUTPUT_DIR (falling back to the working directory).  The process
-exits 0 on success and nonzero after printing one diagnostic line to stderr.
+Each option declares its default once, in its parser; `dcra <cmd> --help`
+lists them all.  Every subcommand accepts an optional --config JSON file whose
+keys mirror the flag names (dashes or underscores).  Its values are checked
+against their flags, converted by each flag's type and installed as the
+subcommand's defaults, so the precedence is built-in defaults < config file <
+explicit flags.  Output paths default into the directory named by
+DCRA_OUTPUT_DIR (falling back to the working directory).  The process exits 0
+on success and nonzero after printing one diagnostic line to stderr.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import fields
 
 from . import experiments
 from .agents import LEARNER_KINDS, RewardSpec, write_policy_csv
@@ -31,25 +35,31 @@ AGENT_KINDS = ("blind",) + tuple(sorted(LEARNER_KINDS))
 MAX_CASUAL_LIFETIME = 4
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, seed: int | None = 0) -> None:
     parser.add_argument("--config", metavar="FILE",
                         help="JSON file with defaults for this subcommand")
-    parser.add_argument("--seed", type=int, help="master seed (default 0)")
+    parser.add_argument("--seed", type=int, default=seed, help="master seed")
     parser.add_argument("--out", metavar="FILE", help="output CSV path")
 
 
 def _add_pair_params(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--peer-arrival", type=float, help="peer packet arrival probability")
-    parser.add_argument("--agent-arrival", type=float, help="agent packet arrival probability")
-    parser.add_argument("--peer-success", type=float, help="peer decode probability when alone")
-    parser.add_argument("--agent-success", type=float, help="agent decode probability when alone")
-    parser.add_argument("--peer-transmit", type=float, help="peer blind transmit probability")
+    parser.add_argument("--peer-arrival", type=float, default=0.5,
+                        help="peer packet arrival probability")
+    parser.add_argument("--agent-arrival", type=float, default=0.4,
+                        help="agent packet arrival probability")
+    parser.add_argument("--peer-success", type=float, default=0.7,
+                        help="peer decode probability when alone")
+    parser.add_argument("--agent-success", type=float, default=0.6,
+                        help="agent decode probability when alone")
+    parser.add_argument("--peer-transmit", type=float, default=0.4,
+                        help="peer blind transmit probability")
 
 
 def _add_ranges(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--arrival-range", nargs=2, type=float, metavar=("LO", "HI"))
-    parser.add_argument("--success-range", nargs=2, type=float, metavar=("LO", "HI"))
-    parser.add_argument("--transmit-range", nargs=2, type=float, metavar=("LO", "HI"))
+    for field in fields(experiments.ParamRanges):
+        parser.add_argument(f"--{field.name}-range", nargs=2, type=float,
+                            metavar=("LO", "HI"), default=list(field.default),
+                            help=f"uniform range of the drawn {field.name} probabilities")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,114 +72,75 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run one scenario and print its metrics")
     _add_common(p)
     _add_pair_params(p)
-    p.add_argument("--lifetime", type=int, help="packet lifetime in slots (default 2)")
-    p.add_argument("--slots", type=int, help="horizon (default 200000)")
-    p.add_argument("--window", type=int, help="report over the last WINDOW slots")
-    p.add_argument("--agent", choices=AGENT_KINDS, help="tracked device policy (default r-tiny)")
+    p.add_argument("--lifetime", type=int, default=2, help="packet lifetime in slots")
+    p.add_argument("--slots", type=int, default=200_000, help="horizon")
+    p.add_argument("--window", type=int,
+                   help="report over the last WINDOW slots, or over all of them")
+    p.add_argument("--agent", choices=AGENT_KINDS, default="r-tiny",
+                   help="tracked device policy")
     p.add_argument("--agent-transmit", type=float,
                    help="transmit probability when --agent blind")
-    p.add_argument("--reward", help='learner reward: "two-level", '
+    p.add_argument("--reward", default="two-level", help='learner reward: "two-level", '
                    '"two-level-shifted:<c>" or "multi-level"')
     p.add_argument("--trace-out", metavar="FILE", help="write a per-slot trace CSV")
 
     p = sub.add_parser("upper-bound", help="exact two-device bound by policy iteration")
-    _add_common(p)
+    _add_common(p, seed=None)
     _add_pair_params(p)
-    p.add_argument("--lifetime", type=int, help="packet lifetime in slots (default 2)")
+    p.add_argument("--lifetime", type=int, default=2, help="packet lifetime in slots")
     p.add_argument("--policy-out", metavar="FILE",
                    help="write the bound-achieving policy as CSV")
     p.add_argument("--export-lp", metavar="FILE",
                    help="write the LP in fixed-field MPS format and stop")
-    p.add_argument("--allow-large", action=argparse.BooleanOptionalAction,
+    p.add_argument("--allow-large", action=argparse.BooleanOptionalAction, default=False,
                    help=f"permit lifetimes above {MAX_CASUAL_LIFETIME}")
 
     p = sub.add_parser("sweep", help="random-group comparison across agents")
     _add_common(p)
     _add_ranges(p)
-    p.add_argument("--groups", type=int, help="sampled parameter groups (default 20)")
-    p.add_argument("--lifetimes", nargs="+", type=int, help="lifetimes to sweep (default 1 2 3)")
-    p.add_argument("--agents", nargs="+", choices=AGENT_KINDS,
-                   help="agent kinds to compare (default r-tiny blind)")
-    p.add_argument("--slots", type=int, help="horizon per run (default 200000)")
-    p.add_argument("--window", type=int, help="evaluation window (default 50000)")
-    p.add_argument("--with-bound", action=argparse.BooleanOptionalAction,
+    p.add_argument("--groups", type=int, default=20, help="sampled parameter groups")
+    p.add_argument("--lifetimes", nargs="+", type=int, default=[1, 2, 3],
+                   help="lifetimes to sweep")
+    p.add_argument("--agents", nargs="+", choices=AGENT_KINDS, default=["r-tiny", "blind"],
+                   help="agent kinds to compare")
+    p.add_argument("--slots", type=int, default=200_000, help="horizon per run")
+    p.add_argument("--window", type=int, default=50_000, help="evaluation window")
+    p.add_argument("--with-bound", action=argparse.BooleanOptionalAction, default=False,
                    help="add the exact bound column")
 
     p = sub.add_parser("convergence", help="windowed-throughput series for one agent")
     _add_common(p)
     _add_pair_params(p)
-    p.add_argument("--lifetimes", nargs="+", type=int,
-                   help="lifetimes to run (default 10 20 30)")
-    p.add_argument("--agent", choices=AGENT_KINDS, help="agent kind (default r-tiny)")
-    p.add_argument("--slots", type=int, help="horizon (default 200000)")
-    p.add_argument("--window", type=int, help="series window (default 2000)")
+    p.add_argument("--lifetimes", nargs="+", type=int, default=[10, 20, 30],
+                   help="lifetimes to run")
+    p.add_argument("--agent", choices=AGENT_KINDS, default="r-tiny", help="agent kind")
+    p.add_argument("--slots", type=int, default=200_000, help="horizon")
+    p.add_argument("--window", type=int, default=2_000, help="series window")
 
     p = sub.add_parser("policy-dump", help="train a learner, dump its greedy policy")
     _add_common(p)
     _add_pair_params(p)
-    p.add_argument("--lifetime", type=int, help="packet lifetime in slots (default 2)")
-    p.add_argument("--slots", type=int, help="horizon (default 200000)")
-    p.add_argument("--agent", choices=tuple(sorted(LEARNER_KINDS)),
-                   help="learner kind (default r-tiny)")
-    p.add_argument("--reward", help="learner reward spec (default two-level)")
+    p.add_argument("--lifetime", type=int, default=2, help="packet lifetime in slots")
+    p.add_argument("--slots", type=int, default=200_000, help="horizon")
+    p.add_argument("--agent", choices=tuple(sorted(LEARNER_KINDS)), default="r-tiny",
+                   help="learner kind")
+    p.add_argument("--reward", default="two-level", help="learner reward spec")
 
     p = sub.add_parser("congestion", help="saturated-peer study over agent counts")
     _add_common(p)
     _add_ranges(p)
-    p.add_argument("--peer-count", type=int, help="saturated legacy devices (default 1)")
-    p.add_argument("--agent-counts", nargs="+", type=int,
-                   help="newcomer counts to try (default 10)")
-    p.add_argument("--lifetime", type=int, help="packet lifetime in slots (default 10)")
-    p.add_argument("--agent", choices=tuple(sorted(LEARNER_KINDS)),
-                   help="learner kind (default r-tiny)")
-    p.add_argument("--slots", type=int, help="horizon per run (default 200000)")
-    p.add_argument("--window", type=int, help="evaluation window (default 50000)")
+    p.add_argument("--peer-count", type=int, default=1, help="saturated legacy devices")
+    p.add_argument("--agent-counts", nargs="+", type=int, default=[10],
+                   help="newcomer counts to try")
+    p.add_argument("--lifetime", type=int, default=10, help="packet lifetime in slots")
+    p.add_argument("--agent", choices=tuple(sorted(LEARNER_KINDS)), default="r-tiny",
+                   help="learner kind")
+    p.add_argument("--slots", type=int, default=200_000, help="horizon per run")
+    p.add_argument("--window", type=int, default=50_000, help="evaluation window")
 
+    for p in sub.choices.values():
+        p.formatter_class = argparse.ArgumentDefaultsHelpFormatter
     return parser
-
-
-# the two-device point of every command that takes _add_pair_params
-PAIR_DEFAULTS = {
-    "peer_arrival": 0.5, "agent_arrival": 0.4,
-    "peer_success": 0.7, "agent_success": 0.6, "peer_transmit": 0.4,
-}
-
-DEFAULTS = {
-    "simulate": {
-        "seed": 0, "lifetime": 2, "slots": 200_000, "window": None,
-        "agent": "r-tiny", "agent_transmit": None, "reward": "two-level",
-        "trace_out": None, "out": None, **PAIR_DEFAULTS,
-    },
-    "upper-bound": {
-        "seed": None, "lifetime": 2, "policy_out": None, "export_lp": None,
-        "allow_large": False, "out": None, **PAIR_DEFAULTS,
-    },
-    "sweep": {
-        "seed": 0, "groups": 20, "lifetimes": [1, 2, 3],
-        "agents": ["r-tiny", "blind"], "slots": 200_000, "window": 50_000,
-        "with_bound": False, "out": None,
-        "arrival_range": None, "success_range": None, "transmit_range": None,
-    },
-    "convergence": {
-        "seed": 0, "lifetimes": [10, 20, 30], "agent": "r-tiny",
-        "slots": 200_000, "window": 2_000, "out": None, **PAIR_DEFAULTS,
-    },
-    "policy-dump": {
-        "seed": 0, "lifetime": 2, "slots": 200_000, "agent": "r-tiny",
-        "reward": "two-level", "out": None, **PAIR_DEFAULTS,
-    },
-    "congestion": {
-        "seed": 0, "peer_count": 1, "agent_counts": [10], "lifetime": 10,
-        "agent": "r-tiny", "slots": 200_000, "window": 50_000, "out": None,
-        "arrival_range": None, "success_range": None, "transmit_range": None,
-    },
-}
-
-
-def _flags(command: str) -> dict[str, argparse.Action]:
-    """The subcommand's flags by destination."""
-    sub = next(a for a in build_parser()._actions if a.dest == "command")
-    return {a.dest: a for a in sub.choices[command]._actions}
 
 
 def _expected(flag: argparse.Action, value) -> str | None:
@@ -191,65 +162,69 @@ def _expected(flag: argparse.Action, value) -> str | None:
     return one + (f" from {', '.join(flag.choices)}" if flag.choices else "")
 
 
-def _merge_options(args: argparse.Namespace) -> dict:
-    """defaults < config file < explicit flags.
+def _config_defaults(path: str, parser: argparse.ArgumentParser) -> dict:
+    """The config file at `path` as defaults for the subcommand `parser`.
 
-    A config value must be one its flag could produce (type, arity and
-    choices), or null where the flag has no default.
+    A value must be one its flag could produce (type, arity and choices), or
+    null where the flag's default is null; numbers take the flag's type.
     """
-    defaults = DEFAULTS[args.command]
-    merged = dict(defaults)
-    if args.config:
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                loaded = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise RuntimeError(f"cannot read config {args.config}: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise RuntimeError(f"config {args.config} must hold a JSON object")
-        flags = _flags(args.command)
-        for key, value in loaded.items():
-            key = key.replace("-", "_")
-            if key not in merged:
-                raise RuntimeError(f"config {args.config}: unknown key {key!r}")
-            expected = _expected(flags[key], value)
-            if expected and not (value is None and defaults[key] is None):
-                raise RuntimeError(f"config {args.config}: {key!r} must be {expected}, "
+    try:
+        with open(path, encoding="utf-8") as fh:
+            loaded = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise RuntimeError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(loaded, dict):
+        raise RuntimeError(f"config {path} must hold a JSON object")
+    flags = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
+    defaults = {}
+    for key, value in loaded.items():
+        key = key.replace("-", "_")
+        if key not in flags:
+            raise RuntimeError(f"config {path}: unknown key {key!r}")
+        flag = flags[key]
+        if value is not None or flag.default is not None:
+            expected = _expected(flag, value)
+            if expected:
+                raise RuntimeError(f"config {path}: {key!r} must be {expected}, "
                                    f"got {json.dumps(value)}")
-            merged[key] = value
-    for key, value in vars(args).items():
-        if key in ("command", "config") or value is None:
-            continue
-        merged[key] = value
-    return merged
+            if flag.type:
+                value = [flag.type(v) for v in value] if flag.nargs else flag.type(value)
+        defaults[key] = value
+    return defaults
+
+
+def _parse(argv: list[str] | None) -> dict:
+    """Built-in defaults < config file < explicit flags."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        sub = next(a for a in parser._actions if a.dest == "command").choices[args.command]
+        sub.set_defaults(**_config_defaults(args.config, sub))
+        args = parser.parse_args(argv)
+    return vars(args)
+
+
+def _note_ignored(opts: dict, *keys: str) -> None:
+    ignored = [f"--{key}" for key in keys if opts[key] is not None]
+    if ignored:
+        print(f"note: {opts['command']} ignores {' and '.join(ignored)}", file=sys.stderr)
 
 
 def _out_path(opts: dict, default_name: str) -> str:
-    if opts.get("out"):
-        return opts["out"]
-    return os.path.join(experiments.default_output_dir(), default_name)
+    return opts["out"] or os.path.join(experiments.default_output_dir(), default_name)
 
 
 def _pair_params(opts: dict) -> TwoDeviceParams:
-    return TwoDeviceParams(
-        peer_arrival=opts["peer_arrival"],
-        agent_arrival=opts["agent_arrival"],
-        peer_success=opts["peer_success"],
-        agent_success=opts["agent_success"],
-        peer_transmit=opts["peer_transmit"],
-    )
+    return TwoDeviceParams(**{f.name: opts[f.name] for f in fields(TwoDeviceParams)})
 
 
 def _ranges(opts: dict) -> experiments.ParamRanges:
-    kwargs = {}
-    for key, name in (("arrival_range", "arrival"), ("success_range", "success"),
-                      ("transmit_range", "transmit")):
-        if opts.get(key) is not None:
-            kwargs[name] = tuple(opts[key])
-    return experiments.ParamRanges(**kwargs)
+    return experiments.ParamRanges(**{f.name: tuple(opts[f"{f.name}_range"])
+                                      for f in fields(experiments.ParamRanges)})
 
 
 def _cmd_simulate(opts: dict) -> int:
+    _note_ignored(opts, "out")
     cfg = experiments.two_device_config(
         _pair_params(opts), opts["lifetime"], opts["agent"], opts["slots"],
         seed=opts["seed"],
@@ -266,9 +241,7 @@ def _cmd_simulate(opts: dict) -> int:
 
 
 def _cmd_upper_bound(opts: dict) -> int:
-    ignored = [f"--{key}" for key in ("seed", "out") if opts[key] is not None]
-    if ignored:
-        print(f"note: upper-bound ignores {' and '.join(ignored)}", file=sys.stderr)
+    _note_ignored(opts, "seed", "out")
     lifetime = opts["lifetime"]
     if lifetime > MAX_CASUAL_LIFETIME and not opts["allow_large"]:
         raise RuntimeError(
@@ -315,7 +288,7 @@ def _cmd_sweep(opts: dict) -> int:
         slots=opts["slots"],
         window=opts["window"],
         ranges=_ranges(opts),
-        with_bound=bool(opts["with_bound"]),
+        with_bound=opts["with_bound"],
         out_path=out,
     )
     print(f"wrote {result.path} ({len(result.rows)} groups)")
@@ -378,10 +351,9 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        opts = _merge_options(args)
-        return _COMMANDS[args.command](opts)
+        opts = _parse(argv)
+        return _COMMANDS[opts["command"]](opts)
     except (RuntimeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -109,7 +109,7 @@ class AgentSpec:
     (taken from transmit_prob, else from the device params).  The learner
     kinds of agents.LEARNER_KINDS combine an algorithm with a queue
     abstraction: q-full, r-full, r-hol, r-tiny and the remaining crossings;
-    `reward` scores a learner's slots.
+    `reward` scores a learner's slots and stays the default for a blind agent.
     """
 
     kind: str = "blind"
@@ -124,6 +124,8 @@ class AgentSpec:
                 raise ValueError("transmit_prob only applies to blind agents")
             if not 0.0 <= self.transmit_prob <= 1.0:
                 raise ValueError(f"transmit_prob {self.transmit_prob} outside [0, 1]")
+        if self.kind == "blind" and self.reward != RewardSpec():
+            raise ValueError("reward only applies to learner agents")
 
     @property
     def is_learner(self) -> bool:

@@ -198,7 +198,11 @@ def two_device_config(
     agent_transmit: float | None = None,
     reward: RewardSpec | None = None,
 ) -> ScenarioConfig:
-    """A blind peer (device 0) and the tracked device (device 1) under `agent`."""
+    """A blind peer (device 0) and the tracked device (device 1) under `agent`.
+
+    `agent_transmit` applies only to a blind agent and `reward` only to a
+    learner; AgentSpec rejects either on the other kind.
+    """
     peer = DeviceSetup(
         DeviceParams(
             params.peer_arrival,
@@ -207,12 +211,9 @@ def two_device_config(
         ),
         AgentSpec("blind"),
     )
-    if agent == "blind":
-        spec = AgentSpec("blind", transmit_prob=agent_transmit)
-    else:
-        spec = AgentSpec(agent, reward=reward or RewardSpec())
     tracked = DeviceSetup(
-        DeviceParams(params.agent_arrival, params.agent_success), spec
+        DeviceParams(params.agent_arrival, params.agent_success),
+        AgentSpec(agent, agent_transmit, reward or RewardSpec()),
     )
     return ScenarioConfig(
         lifetime=lifetime, horizon=slots, seed=seed, devices=(peer, tracked)
@@ -344,6 +345,7 @@ def run_convergence(
         raise ValueError("slots must cover at least one window")
     if not lifetimes:
         raise ValueError("lifetimes must name at least one lifetime")
+    _reject_repeats("lifetimes", lifetimes)
     header = PARAM_COLUMNS + ["agent", "slot", "throughput"]
     configs = [
         two_device_config(params, lifetime, agent, slots, seed=(seed, lifetime))

@@ -3,12 +3,13 @@
 import csv
 import hashlib
 import json
+import re
 
 import pytest
 
 from dcra import experiments
 from dcra.agents import RewardSpec
-from dcra.cli import DEFAULTS, build_parser, main
+from dcra.cli import build_parser, main
 from dcra.env import write_trace_csv
 from dcra.mdp import TwoDeviceParams
 from oracles import reference_run
@@ -71,7 +72,7 @@ def test_simulate_trace_matches_reference_run(capsys, tmp_path):
         "--seed", "5", "--trace-out", str(trace),
     )
     assert rc == 0 and err == ""
-    defaults = DEFAULTS["simulate"]
+    defaults = vars(build_parser().parse_args(["simulate"]))
     params = TwoDeviceParams(*(defaults[k] for k in (
         "peer_arrival", "agent_arrival", "peer_success", "agent_success", "peer_transmit")))
     cfg = experiments.two_device_config(params, 3, "r-hol", 3000, seed=5,
@@ -103,6 +104,48 @@ def test_upper_bound_notes_ignored_flags(capsys, tmp_path):
     assert rc == 0
     assert err == "note: upper-bound ignores --seed and --out\n"
     assert not (tmp_path / "unused.csv").exists()
+
+
+def test_simulate_notes_ignored_out(capsys, tmp_path):
+    argv = ("simulate", "--lifetime", "1", "--slots", "500", "--seed", "3")
+    rc, plain, err = run_cli(capsys, *argv)
+    assert rc == 0 and err == ""
+    rc, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "unused.csv"))
+    assert rc == 0 and out == plain
+    assert err == "note: simulate ignores --out\n"
+    assert not (tmp_path / "unused.csv").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--agent", "r-tiny", "--agent-transmit", "0.3"), "transmit_prob only applies"),
+    (("--agent", "blind", "--agent-transmit", "0.3", "--reward", "multi-level"),
+     "reward only applies"),
+])
+def test_simulate_rejects_flags_its_agent_cannot_use(capsys, argv, message):
+    rc, out, err = run_cli(capsys, "simulate", "--slots", "100", *argv)
+    assert rc == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and message in err
+
+
+def _subparsers() -> dict:
+    return next(a for a in build_parser()._actions if a.dest == "command").choices
+
+
+@pytest.mark.parametrize("command", sorted(_subparsers()))
+def test_help_shows_what_each_command_runs_with(capsys, command):
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--help"])
+    assert exit_.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    values = vars(build_parser().parse_args([command]))
+    actions = [a for a in _subparsers()[command]._actions if a.dest != "help"]
+    # each flag's entry runs from its name in the options list to the next flag's
+    starts, pos = [], text.index(" options: ")
+    for action in actions:
+        pos = re.compile(rf" {re.escape(action.option_strings[0])}[ ,]").search(text, pos).start()
+        starts.append(pos)
+    for action, start, end in zip(actions, starts, starts[1:] + [len(text)]):
+        assert f"(default: {values[action.dest]})" in text[start:end], action.dest
 
 
 def test_upper_bound_rejects_large_lifetime(capsys):
@@ -272,6 +315,17 @@ def test_config_file_sets_defaults_and_flags_override(capsys, tmp_path):
     assert out1 != out2  # flag overrode the config seed
 
 
+def test_config_number_runs_as_its_flag_type(capsys, tmp_path):
+    # an integer in the file is the float the flag would parse
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"peer_arrival": 1}))
+    argv = ("convergence", "--lifetimes", "1", "--slots", "4000", "--window", "2000")
+    rc1, _, _ = run_cli(capsys, *argv, "--config", str(cfg), "--out", str(tmp_path / "a.csv"))
+    rc2, _, _ = run_cli(capsys, *argv, "--peer-arrival", "1", "--out", str(tmp_path / "b.csv"))
+    assert rc1 == rc2 == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
 def test_config_unknown_key_rejected(capsys, tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"no_such_option": 1}))
@@ -338,6 +392,8 @@ def test_congestion_writes_the_baseline_once(capsys, tmp_path):
     (("congestion", "--agent-counts", "2", "2"), "agent_counts"),
     (("sweep", "--agents", "blind", "blind", "--lifetimes", "1"), "agents"),
     (("sweep", "--agents", "blind", "--lifetimes", "1", "1"), "lifetimes"),
+    (("convergence", "--lifetimes", "1", "1", "--slots", "4000", "--window", "2000"),
+     "lifetimes"),
 ])
 def test_study_rejects_repeated_inputs(capsys, tmp_path, argv, name):
     out_path = tmp_path / "out.csv"

@@ -267,6 +267,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             AgentSpec.blind(1.5)
 
+    @pytest.mark.parametrize("kind, transmit_prob, reward, message", [
+        ("r-tiny", 0.3, RewardSpec(), "transmit_prob only applies to blind agents"),
+        ("blind", 0.3, RewardSpec.multi_level(), "reward only applies to learner agents"),
+        ("blind", None, RewardSpec.two_level_shifted(0.0), "reward only applies"),
+    ])
+    def test_agent_spec_rejects_what_its_kind_cannot_use(self, kind, transmit_prob, reward,
+                                                         message):
+        with pytest.raises(ValueError, match=message):
+            AgentSpec(kind, transmit_prob, reward)
+
     def test_device_count_fits_senders_dtype(self):
         # builds the configs only: nothing is simulated
         dev = blind_device(0.5, 0.5, 0.5)

@@ -198,6 +198,12 @@ def test_run_sweep_rejects_repeated_inputs(repeated):
         run_sweep(**{**shape, **repeated})
 
 
+def test_run_convergence_rejects_repeated_lifetimes():
+    with pytest.raises(ValueError, match=r"lifetimes repeats 1"):
+        run_convergence(TwoDeviceParams(0.5, 0.4, 0.7, 0.6, 0.4), lifetimes=(1, 2, 1),
+                        agent="r-tiny", seed=0, slots=2_000, window=1_000)
+
+
 def test_run_sweep_failed_group_reports_seed():
     with pytest.raises(RuntimeError, match=r"\(seed \(9, 1, 0\)\)"):
         run_sweep(groups=1, lifetimes=(1,), agents=("no-such-agent",), seed=9,

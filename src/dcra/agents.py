@@ -3,7 +3,8 @@
 A learner sees its own queue (through one of three abstractions) plus the last
 channel observation, and picks WAIT or TRANSMIT each slot.  Rewards are
 derived from access-point feedback only, so the same agent code runs with any
-number of competing devices.
+number of competing devices: each RewardSpec is one 16-cell reward_table over
+(observation, physical action, urgent), which env.run reads as it stands.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ __all__ = [
     "RewardSpec",
     "StateKind",
     "TabularLearner",
+    "reward_table",
     "reward_value",
     "state_space_size",
     "write_policy_csv",
@@ -80,7 +82,8 @@ class RewardKind(enum.Enum):
 
 @dataclass(frozen=True)
 class RewardSpec:
-    """Reward computed from (observation, last physical action, last urgency).
+    """Reward computed from (observation, last physical action, last urgency);
+    reward_table(spec) lists it cell by cell.
 
     TWO_LEVEL pays 1 whenever the slot carried a delivery for anyone (own
     SUCCESSFUL or overheard BUSY) and 0 otherwise.  TWO_LEVEL_SHIFTED
@@ -124,33 +127,41 @@ class RewardSpec:
         raise ValueError(f"unknown reward spec {text!r}")
 
 
-def reward_value(spec: RewardSpec, obs: int, action: int, urgent: bool) -> float:
-    """Reward for the slot whose outcome was `obs`.
+# MULTI_LEVEL's rewards, indexed obs*4 + action*2 + urgent; None marks the
+# cells no slot produces: a sender never sees IDLE or BUSY, and SUCCESSFUL
+# never reaches a non-sender
+_MULTI_LEVEL = (
+    2.0, -3.0, None, None,  # IDLE: wait, wait urgent, transmit, transmit urgent
+    10.0, 10.0, None, None,  # BUSY
+    None, None, 10.0, 10.0,  # SUCCESSFUL
+    2.0, 2.0, -5.0, -5.0,  # FAILED
+)
 
-    `action` is the physical action in that slot (a TRANSMIT chosen on an
-    empty queue puts nothing on the air and counts as WAIT here), `urgent`
-    whether the queue held a packet due that very slot.  The engine only ever
-    produces pairs that are physically possible: a sender never sees IDLE or
-    BUSY, and SUCCESSFUL never reaches a non-sender.
+
+def reward_table(spec: RewardSpec) -> tuple[float | None, ...]:
+    """The reward of every (observation, physical action, urgent) cell.
+
+    Cell obs*4 + action*2 + urgent scores the slot whose outcome was `obs`
+    for a device whose physical action in it was `action` (a TRANSMIT chosen
+    on an empty queue puts nothing on the air and counts as WAIT) and whose
+    queue held a packet due that very slot when `urgent`.  A None cell is
+    one that no slot produces.
     """
-    if spec.kind is RewardKind.TWO_LEVEL:
-        return 1.0 if obs in (ChannelObservation.BUSY, ChannelObservation.SUCCESSFUL) else 0.0
-    if spec.kind is RewardKind.TWO_LEVEL_SHIFTED:
-        base = 1.0 if obs in (ChannelObservation.BUSY, ChannelObservation.SUCCESSFUL) else 0.0
-        return base - spec.shift
-    if obs == ChannelObservation.IDLE:
-        if action == Action.TRANSMIT:
-            raise ValueError("a sender cannot observe IDLE")
-        return -3.0 if urgent else 2.0
-    if obs == ChannelObservation.BUSY:
-        if action == Action.TRANSMIT:
-            raise ValueError("a sender cannot observe BUSY")
-        return 10.0
-    if obs == ChannelObservation.SUCCESSFUL:
-        if action == Action.WAIT:
-            raise ValueError("only a sender can observe SUCCESSFUL")
-        return 10.0
-    return -5.0 if action == Action.TRANSMIT else 2.0
+    if spec.kind is RewardKind.MULTI_LEVEL:
+        return _MULTI_LEVEL
+    # 1 for a delivery to anyone (BUSY, SUCCESSFUL), 0 for none (IDLE, FAILED)
+    hit, miss = 1.0 - spec.shift, 0.0 - spec.shift
+    return (miss,) * 4 + (hit,) * 8 + (miss,) * 4
+
+
+def reward_value(spec: RewardSpec, obs: int, action: int, urgent: bool) -> float:
+    """The reward_table cell of (obs, action, urgent); ValueError if no slot
+    produces it."""
+    reward = reward_table(spec)[obs * 4 + action * 2 + urgent]
+    if reward is None:
+        raise ValueError(f"no slot produces {ChannelObservation(obs).name} "
+                         f"after {Action(action).name}")
+    return reward
 
 
 class TabularLearner:

@@ -21,7 +21,7 @@ from dataclasses import fields
 
 from . import experiments
 from .agents import LEARNER_KINDS, RewardSpec, write_policy_csv
-from .env import run, write_trace_csv
+from .env import check_window, run, write_trace_csv
 from .mdp import TwoDeviceParams, bound_program, build_mdp, majority_policy, upper_bound
 from .simplex import write_mps
 
@@ -231,10 +231,12 @@ def _cmd_simulate(opts: dict) -> int:
         agent_transmit=opts["agent_transmit"],
         reward=RewardSpec.parse(opts["reward"]),
     )
+    window = opts["window"]
+    if window is not None:
+        check_window(window, cfg.horizon)
     result = run(cfg, trace=opts["trace_out"] is not None)
     if opts["trace_out"]:
         write_trace_csv(result, opts["trace_out"])
-    window = opts["window"]
     print(f"throughput={result.metrics.timely_throughput(window)!r}")
     print(f"power={result.metrics.power(window)!r}")
     return 0

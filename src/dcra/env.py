@@ -47,7 +47,7 @@ from dcra.agents import (
     RewardSpec,
     StateKind,
     TabularLearner,
-    reward_value,
+    reward_table,
     state_space_size,
 )
 from dcra.core import Action, ApFeedback, ChannelObservation, DeviceParams
@@ -60,6 +60,7 @@ __all__ = [
     "ScenarioConfig",
     "SlotRecord",
     "UniformStream",
+    "check_window",
     "run",
     "write_trace_csv",
 ]
@@ -136,8 +137,8 @@ class AgentSpec:
         return cls("blind", transmit_prob)
 
     @classmethod
-    def learner(cls, kind: str, reward: RewardSpec | None = None) -> "AgentSpec":
-        return cls(kind, None, reward if reward is not None else RewardSpec())
+    def learner(cls, kind: str, reward: RewardSpec = RewardSpec()) -> "AgentSpec":
+        return cls(kind, None, reward)
 
 
 @dataclass(frozen=True)
@@ -205,6 +206,13 @@ class SlotRecord:
     transmissions_cum: int
 
 
+def check_window(window: int, horizon: int) -> int:
+    """`window`, if a run of `horizon` slots has that many final slots."""
+    if not 1 <= window <= horizon:
+        raise ValueError(f"window {window} outside [1, {horizon}]")
+    return window
+
+
 @dataclass
 class Metrics:
     """Per-slot delivery and transmission tallies for a finished run."""
@@ -217,11 +225,7 @@ class Metrics:
         return len(self.delivered)
 
     def _window(self, window: int | None) -> int:
-        if window is None:
-            return self.horizon
-        if not 1 <= window <= self.horizon:
-            raise ValueError(f"window {window} outside [1, {self.horizon}]")
-        return window
+        return self.horizon if window is None else check_window(window, self.horizon)
 
     def timely_throughput(self, window: int | None = None) -> float:
         """Delivered packets per slot over the last `window` slots."""
@@ -246,32 +250,6 @@ class RunResult:
     metrics: Metrics
     learners: tuple[TabularLearner | None, ...]
     trace: list[SlotRecord] | None = None
-
-
-# the (observation, physical action) pairs a slot produces: a sender sees
-# SUCCESSFUL or FAILED, a non-sender IDLE, BUSY or FAILED
-_REACHABLE = ((0, 0), (1, 0), (3, 0), (2, 1), (3, 1))
-
-
-def _reward_table(spec: RewardSpec) -> list[float | None]:
-    """reward_value over every (obs, physical action, urgent) cell, indexed
-    by obs*4 + action*2 + urgent; None marks a cell that cannot occur.
-
-    Raises ValueError when a cell that run() can reach has no reward, so the
-    slot loop never meets a None.
-    """
-    table: list[float | None] = []
-    for obs in range(4):
-        for action in (0, 1):
-            for urgent in (False, True):
-                try:
-                    table.append(reward_value(spec, obs, action, urgent))
-                except ValueError as exc:
-                    if (obs, action) in _REACHABLE:
-                        raise ValueError(f"no reward for observation {obs} after action "
-                                         f"{action}, which a slot can produce: {exc}") from exc
-                    table.append(None)
-    return table
 
 
 # the exploration plan's entry for a slot whose select() acts greedily
@@ -604,13 +582,13 @@ def run(config: ScenarioConfig, trace: bool = False) -> RunResult:
 
     learners: list[TabularLearner | None] = []
     probs: list[float | None] = []
-    tables: list[list[float | None] | None] = []
+    tables: list[tuple[float | None, ...] | None] = []
     for i, dev in enumerate(devices):
         if dev.agent.is_learner:
             # a state s is kept doubled, as 2*s, the index of its WAIT value
             # in the q list, so that 2*s + a indexes the value of action a
             learners.append(TabularLearner(dev.agent.kind, config.lifetime, streams[i]))
-            tables.append(_reward_table(dev.agent.reward))
+            tables.append(reward_table(dev.agent.reward))
             probs.append(None)
         else:
             learners.append(None)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .agents import RewardSpec
 from .core import DeviceParams
-from .env import AgentSpec, DeviceSetup, ScenarioConfig, run
+from .env import AgentSpec, DeviceSetup, ScenarioConfig, check_window, run
 from .mdp import TwoDeviceParams, build_mdp, upper_bound
 
 T = TypeVar("T")
@@ -196,7 +196,7 @@ def two_device_config(
     slots: int,
     seed,
     agent_transmit: float | None = None,
-    reward: RewardSpec | None = None,
+    reward: RewardSpec = RewardSpec(),
 ) -> ScenarioConfig:
     """A blind peer (device 0) and the tracked device (device 1) under `agent`.
 
@@ -213,7 +213,7 @@ def two_device_config(
     )
     tracked = DeviceSetup(
         DeviceParams(params.agent_arrival, params.agent_success),
-        AgentSpec(agent, agent_transmit, reward or RewardSpec()),
+        AgentSpec(agent, agent_transmit, reward),
     )
     return ScenarioConfig(
         lifetime=lifetime, horizon=slots, seed=seed, devices=(peer, tracked)
@@ -228,7 +228,7 @@ def simulate_two_device(
     seed,
     window: int | None = None,
     agent_transmit: float | None = None,
-    reward: RewardSpec | None = None,
+    reward: RewardSpec = RewardSpec(),
 ) -> tuple[float, float]:
     """Run one two-device scenario; report (throughput, power) over the last
     `window` slots (whole run when None)."""
@@ -278,8 +278,7 @@ def run_sweep(
         raise ValueError("agents must name at least one agent kind")
     _reject_repeats("lifetimes", lifetimes)
     _reject_repeats("agents", agents)
-    if not 1 <= window <= slots:
-        raise ValueError(f"window {window} outside [1, {slots}]")
+    check_window(window, slots)
     header = ["group"] + PARAM_COLUMNS
     for agent in agents:
         header += [f"throughput_{agent}", f"power_{agent}"]
@@ -341,8 +340,7 @@ def run_convergence(
     out_path: str | None = None,
 ) -> SweepResult:
     """Windowed-throughput time series per lifetime for one agent kind."""
-    if window < 1 or slots < window:
-        raise ValueError("slots must cover at least one window")
+    check_window(window, slots)
     if not lifetimes:
         raise ValueError("lifetimes must name at least one lifetime")
     _reject_repeats("lifetimes", lifetimes)
@@ -413,6 +411,7 @@ def run_congestion(
     if min(agent_counts, default=0) < 0:
         raise ValueError(f"agent_counts must not be negative, got {min(agent_counts)}")
     _reject_repeats("agent_counts", agent_counts)
+    check_window(window, slots)
     peer_transmit = 1.0 / (4.0 * peer_count)
     header = PARAM_COLUMNS + [
         "agent_arrivals",

@@ -65,6 +65,11 @@ def two_device(params, lifetime, horizon, seed, agent_spec):
     )
 
 
+def final_throughput(cfg, window):
+    """Throughput of one run over its last `window` slots, as a _run_all task."""
+    return run(cfg).metrics.timely_throughput(window)
+
+
 def shared_channel(n_devices, lifetime, horizon, seed, spec_factory):
     """N symmetric-role devices, per-device params from one seeded stream."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 77)))
@@ -226,13 +231,10 @@ def test_mean_learner_gap_to_bound(bound_sweep):
 def test_average_reward_beats_discounted_at_long_deadline():
     # With deadline 5 the discounted learner keeps drifting while the
     # average-reward variant settles; demand a 3-point margin per seed.
-    margins = []
-    for seed in (0, 1, 2):
-        thr = {}
-        for kind in ("r-full", "q-full"):
-            cfg = two_device(REF, 5, 1_000_000, seed, AgentSpec(kind))
-            thr[kind] = run(cfg).metrics.timely_throughput(100_000)
-        margins.append(thr["r-full"] - thr["q-full"])
+    configs = [two_device(REF, 5, 1_000_000, seed, AgentSpec(kind))
+               for seed in (0, 1, 2) for kind in ("r-full", "q-full")]
+    thr = experiments._run_all(partial(final_throughput, window=100_000), configs)
+    margins = [r - q for r, q in zip(thr[::2], thr[1::2])]
     ok = all(m >= 0.03 for m in margins)
     report(
         "average-reward vs discounted at long deadline",
@@ -267,22 +269,19 @@ def test_ten_learners_share_the_channel():
     # Ten graded-reward learners should drive about one transmission per
     # slot in aggregate and beat blind devices at rate 1/10 on identical
     # arrival/channel draws.
+    configs = []
+    for seed in (0, 1, 2):
+        configs.append(shared_channel(
+            10, 10, 200_000, seed,
+            lambda: AgentSpec("r-tiny", reward=RewardSpec.multi_level()),
+        ))
+        configs.append(shared_channel(
+            10, 10, 200_000, seed, lambda: AgentSpec("blind", transmit_prob=0.1)
+        ))
+    stats = experiments._run_all(partial(experiments._window_stats, window=50_000), configs)
     details = []
     ok = True
-    for seed in (0, 1, 2):
-        learned = run(
-            shared_channel(
-                10, 10, 200_000, seed,
-                lambda: AgentSpec("r-tiny", reward=RewardSpec.multi_level()),
-            )
-        ).metrics
-        blind = run(
-            shared_channel(
-                10, 10, 200_000, seed, lambda: AgentSpec("blind", transmit_prob=0.1)
-            )
-        ).metrics
-        thr, power = learned.timely_throughput(50_000), learned.power(50_000)
-        base = blind.timely_throughput(50_000)
+    for seed, (thr, power), (base, _) in zip((0, 1, 2), stats[::2], stats[1::2]):
         ok = ok and 0.8 <= power <= 1.2 and thr > base
         details.append(f"seed {seed}: thr {thr:.3f} power {power:.3f} vs blind {base:.3f}")
     report("ten learners share the channel", ok, "; ".join(details))
@@ -297,12 +296,10 @@ def test_reward_shaping_decides_thirty_devices():
         "flat": lambda: AgentSpec("r-tiny", reward=RewardSpec.two_level()),
         "blind": lambda: AgentSpec("blind", transmit_prob=1.0 / 30),
     }
-    thr = {}
-    power = {}
-    for name, factory in arms.items():
-        m = run(shared_channel(30, 10, 200_000, 0, factory)).metrics
-        thr[name] = m.timely_throughput(50_000)
-        power[name] = m.power(50_000)
+    configs = [shared_channel(30, 10, 200_000, 0, factory) for factory in arms.values()]
+    stats = experiments._run_all(partial(experiments._window_stats, window=50_000), configs)
+    thr = {name: t for name, (t, _) in zip(arms, stats)}
+    power = {name: p for name, (_, p) in zip(arms, stats)}
     ok = thr["graded"] > thr["flat"] and thr["flat"] < thr["blind"]
     report(
         "reward shaping decides thirty devices",
@@ -316,14 +313,18 @@ def test_reward_shaping_decides_thirty_devices():
 # -- full-state learner at the reference point --------------------------------
 
 
+def learner_and_throughput(cfg):
+    """The run's learner and its throughput over the last 100k slots, as a
+    _run_all task."""
+    result = run(cfg)
+    learner = next(l for l in result.learners if l is not None)
+    return learner, result.metrics.timely_throughput(100_000)
+
+
 @pytest.fixture(scope="module")
 def full_state_runs():
-    runs = []
-    for seed in range(5):
-        result = run(two_device(REF, 2, 1_000_000, seed, AgentSpec("r-full")))
-        learner = next(l for l in result.learners if l is not None)
-        runs.append((learner, result.metrics))
-    return runs
+    configs = [two_device(REF, 2, 1_000_000, seed, AgentSpec("r-full")) for seed in range(5)]
+    return experiments._run_all(learner_and_throughput, configs)
 
 
 def physical_majority(runs):
@@ -379,14 +380,15 @@ def test_full_state_learned_policy_table(full_state_runs):
 def test_shifted_reward_discounted_learner_parity(full_state_runs):
     # Subtracting a constant near the long-run gain from the success reward
     # lets the discounted learner match the average-reward one here.
-    r_mean = float(np.mean([m.timely_throughput(100_000) for _, m in full_state_runs[:3]]))
-    q_thr = []
-    for seed in (0, 1, 2):
-        cfg = two_device(
+    r_mean = float(np.mean([thr for _, thr in full_state_runs[:3]]))
+    configs = [
+        two_device(
             REF, 2, 1_000_000, seed,
             AgentSpec("q-full", reward=RewardSpec.two_level_shifted(0.3)),
         )
-        q_thr.append(run(cfg).metrics.timely_throughput(100_000))
+        for seed in (0, 1, 2)
+    ]
+    q_thr = experiments._run_all(partial(final_throughput, window=100_000), configs)
     q_mean = float(np.mean(q_thr))
     rel = abs(q_mean - r_mean) / r_mean
     report(

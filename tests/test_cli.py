@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from dcra import experiments
+from dcra import cli, experiments
 from dcra.agents import RewardSpec
 from dcra.cli import build_parser, main
 from dcra.env import write_trace_csv
@@ -125,6 +125,26 @@ def test_simulate_rejects_flags_its_agent_cannot_use(capsys, argv, message):
     rc, out, err = run_cli(capsys, "simulate", "--slots", "100", *argv)
     assert rc == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--window", "0", "--slots", "1000"),
+    ("sweep", "--window", "0", "--slots", "1000"),
+    ("convergence", "--window", "3000", "--slots", "1000"),
+    ("congestion", "--window", "3000", "--slots", "1000", "--agent-counts", "3"),
+])
+def test_window_is_checked_before_any_run(capsys, tmp_path, monkeypatch, argv):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    monkeypatch.setattr(experiments, "_run_all", no_run)
+    monkeypatch.setenv("DCRA_OUTPUT_DIR", str(tmp_path))
+    rc, out, err = run_cli(capsys, *argv)
+    window = argv[argv.index("--window") + 1]
+    assert rc == 1 and out == ""
+    assert err == f"error: window {window} outside [1, 1000]\n"
+    assert not any(tmp_path.iterdir())
 
 
 def _subparsers() -> dict:

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from dcra import env
-from dcra.agents import EPSILON_FLOOR, RewardSpec, TabularLearner, reward_value
+from dcra.agents import EPSILON_FLOOR, RewardSpec, TabularLearner, reward_table, reward_value
 from dcra.core import ApFeedback, ChannelObservation, DeviceParams
 from dcra.env import (
     BLOCK,
@@ -315,7 +315,7 @@ class TestRewardTable:
         specs = [RewardSpec.two_level(), RewardSpec.two_level_shifted(0.45),
                  RewardSpec.multi_level()]
         for spec in specs:
-            table = env._reward_table(spec)
+            table = reward_table(spec)
             assert len(table) == 16
             for obs, action, urgent in self.CELLS:
                 cell = table[obs * 4 + action * 2 + urgent]
@@ -325,28 +325,10 @@ class TestRewardTable:
                     assert cell is None
                 else:
                     assert cell == expected
-        impossible = [c for c, r in zip(self.CELLS, env._reward_table(RewardSpec.multi_level()))
+        impossible = [c for c, r in zip(self.CELLS, reward_table(RewardSpec.multi_level()))
                       if r is None]
         assert [(o, a) for o, a, _ in impossible] == [(0, 1), (0, 1), (1, 1), (1, 1),
                                                       (2, 0), (2, 0)]
-
-    @pytest.mark.parametrize("missing", [(0, 0), (1, 0), (3, 0), (2, 1), (3, 1)])
-    def test_reachable_cell_without_reward_raises_when_built(self, monkeypatch, missing):
-        def partial_reward(spec, obs, action, urgent):
-            if (obs, action) == missing:
-                raise ValueError("no such cell")
-            return reward_value(spec, obs, action, urgent)
-
-        monkeypatch.setattr(env, "reward_value", partial_reward)
-        match = f"no reward for observation {missing[0]} after action {missing[1]}"
-        with pytest.raises(ValueError, match=match):
-            env._reward_table(RewardSpec.two_level())
-        cfg = ScenarioConfig(
-            lifetime=1, horizon=10, seed=0,
-            devices=(DeviceSetup(DeviceParams(0.5, 0.5), AgentSpec.learner("r-tiny")),),
-        )
-        with pytest.raises(ValueError, match=match):
-            run(cfg)
 
 
 # horizons around the block of channel and arrival draws; two blocks of

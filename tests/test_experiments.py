@@ -317,6 +317,16 @@ def test_run_congestion_zero_count_names_the_baseline(study, tmp_path):
     assert moved.rows == result.rows
 
 
+def test_run_congestion_checks_window_before_running(monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(experiments, "_run_all", no_run)
+    with pytest.raises(ValueError, match=r"^window 300000 outside \[1, 200000\]$"):
+        run_congestion(peer_count=1, agent_counts=(3,), seed=0, slots=200_000,
+                       window=300_000)
+
+
 @pytest.mark.parametrize("counts", [(2, 2), (0, 3, 0), (1, 2, 1)])
 def test_run_congestion_rejects_repeated_agent_count(counts):
     with pytest.raises(ValueError, match=rf"agent_counts repeats {counts[0]}"):

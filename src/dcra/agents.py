@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from dcra.core import Action, ChannelObservation
+from dcra.core import Action, ChannelObservation, write_csv
 
 __all__ = [
     "LEARNER_KINDS",
@@ -76,7 +76,6 @@ EPSILON_FLOOR = 0.01
 
 class RewardKind(enum.Enum):
     TWO_LEVEL = "two-level"
-    TWO_LEVEL_SHIFTED = "two-level-shifted"
     MULTI_LEVEL = "multi-level"
 
 
@@ -86,30 +85,25 @@ class RewardSpec:
     reward_table(spec) lists it cell by cell.
 
     TWO_LEVEL pays 1 whenever the slot carried a delivery for anyone (own
-    SUCCESSFUL or overheard BUSY) and 0 otherwise.  TWO_LEVEL_SHIFTED
-    subtracts a constant from every payout, which breaks the optimistic tie
-    between acting and idling for discounted learners.  MULTI_LEVEL grades the
-    (observation, action) pairs separately and punishes sitting on a packet
-    that is about to expire.
+    SUCCESSFUL or overheard BUSY) and 0 otherwise, less its `shift` in
+    [0, 1]: a shift breaks the optimistic tie between acting and idling for
+    discounted learners.  MULTI_LEVEL grades the (observation, action) pairs
+    separately and punishes sitting on a packet that is about to expire.
     """
 
     kind: RewardKind = RewardKind.TWO_LEVEL
     shift: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind is RewardKind.TWO_LEVEL_SHIFTED:
+        if self.kind is RewardKind.TWO_LEVEL:
             if not 0.0 <= self.shift <= 1.0:
                 raise ValueError(f"shift {self.shift} outside [0, 1]")
         elif self.shift:
-            raise ValueError(f"shift only applies to {RewardKind.TWO_LEVEL_SHIFTED}")
+            raise ValueError(f"shift only applies to {RewardKind.TWO_LEVEL}")
 
     @classmethod
-    def two_level(cls) -> "RewardSpec":
-        return cls(RewardKind.TWO_LEVEL)
-
-    @classmethod
-    def two_level_shifted(cls, shift: float) -> "RewardSpec":
-        return cls(RewardKind.TWO_LEVEL_SHIFTED, shift)
+    def two_level(cls, shift: float = 0.0) -> "RewardSpec":
+        return cls(RewardKind.TWO_LEVEL, shift)
 
     @classmethod
     def multi_level(cls) -> "RewardSpec":
@@ -123,7 +117,7 @@ class RewardSpec:
         if text == "multi-level":
             return cls.multi_level()
         if text.startswith("two-level-shifted:"):
-            return cls.two_level_shifted(float(text.split(":", 1)[1]))
+            return cls.two_level(float(text.split(":", 1)[1]))
         raise ValueError(f"unknown reward spec {text!r}")
 
 
@@ -249,13 +243,12 @@ def write_policy_csv(learner: TabularLearner, path: str) -> None:
     urgency bit.
     """
     kind, q = learner.state_kind, learner.q
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        rho = repr(learner.rho) if learner.average else ""
-        fh.write(f"# rho={rho}\n")
-        fh.write("abstraction,payload,observation,action,q_wait,q_transmit\n")
-        for s in range(learner.n_states):
-            payload = s >> 2
-            if kind is StateKind.FULL:
-                payload = "".join(str((payload >> k) & 1) for k in range(learner.lifetime))
-            fh.write(f"{kind.value},{payload},{ChannelObservation(s & 3).name},"
-                     f"{Action(learner.greedy(s)).name},{q[2 * s]!r},{q[2 * s + 1]!r}\n")
+    rows = []
+    for s in range(learner.n_states):
+        payload = s >> 2
+        if kind is StateKind.FULL:
+            payload = "".join(str((payload >> k) & 1) for k in range(learner.lifetime))
+        rows.append([kind.value, payload, ChannelObservation(s & 3).name,
+                     Action(learner.greedy(s)).name, q[2 * s], q[2 * s + 1]])
+    write_csv(path, ["abstraction", "payload", "observation", "action", "q_wait", "q_transmit"],
+              rows, newline="\n", comment=f"rho={repr(learner.rho) if learner.average else ''}")

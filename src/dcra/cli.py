@@ -13,7 +13,6 @@ on success and nonzero after printing one diagnostic line to stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -21,6 +20,7 @@ from dataclasses import fields
 
 from . import experiments
 from .agents import LEARNER_KINDS, RewardSpec, write_policy_csv
+from .core import write_csv
 from .env import check_window, run, write_trace_csv
 from .mdp import TwoDeviceParams, bound_program, build_mdp, majority_policy, upper_bound
 from .simplex import write_mps
@@ -55,11 +55,13 @@ def _add_pair_params(parser: argparse.ArgumentParser) -> None:
                         help="peer blind transmit probability")
 
 
-def _add_ranges(parser: argparse.ArgumentParser) -> None:
-    for field in fields(experiments.ParamRanges):
-        parser.add_argument(f"--{field.name}-range", nargs=2, type=float,
-                            metavar=("LO", "HI"), default=list(field.default),
-                            help=f"uniform range of the drawn {field.name} probabilities")
+def _add_ranges(parser: argparse.ArgumentParser, *names: str) -> None:
+    """A --<name>-range flag for each named ParamRanges field."""
+    defaults = experiments.ParamRanges()
+    for name in names:
+        parser.add_argument(f"--{name}-range", nargs=2, type=float,
+                            metavar=("LO", "HI"), default=list(getattr(defaults, name)),
+                            help=f"uniform range of the drawn {name} probabilities")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="random-group comparison across agents")
     _add_common(p)
-    _add_ranges(p)
+    _add_ranges(p, "arrival", "success", "transmit")
     p.add_argument("--groups", type=int, default=20, help="sampled parameter groups")
     p.add_argument("--lifetimes", nargs="+", type=int, default=[1, 2, 3],
                    help="lifetimes to sweep")
@@ -128,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("congestion", help="saturated-peer study over agent counts")
     _add_common(p)
-    _add_ranges(p)
+    _add_ranges(p, "arrival", "success")
     p.add_argument("--peer-count", type=int, default=1, help="saturated legacy devices")
     p.add_argument("--agent-counts", nargs="+", type=int, default=[10],
                    help="newcomer counts to try")
@@ -219,8 +221,11 @@ def _pair_params(opts: dict) -> TwoDeviceParams:
 
 
 def _ranges(opts: dict) -> experiments.ParamRanges:
+    """ParamRanges from the command's range flags; a range it has none for
+    keeps its default."""
     return experiments.ParamRanges(**{f.name: tuple(opts[f"{f.name}_range"])
-                                      for f in fields(experiments.ParamRanges)})
+                                      for f in fields(experiments.ParamRanges)
+                                      if f"{f.name}_range" in opts})
 
 
 def _cmd_simulate(opts: dict) -> int:
@@ -265,19 +270,14 @@ def _cmd_upper_bound(opts: dict) -> int:
 
 
 def _write_bound_policy(bound, path: str) -> None:
-    model = bound.model
     majority = majority_policy(bound)
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["peer_mask", "agent_mask", "observation",
-                         "p_wait", "p_transmit", "majority_action"])
-        for s in range(model.n_states):
-            l1, l2, obs = model.decode(s)
-            writer.writerow([
-                l1, l2, obs,
-                repr(float(bound.policy[s, 0])), repr(float(bound.policy[s, 1])),
-                "TRANSMIT" if majority[(l2, obs)] else "WAIT",
-            ])
+    rows = []
+    for pair, transmit in enumerate(bound.transmit.tolist()):
+        l1, l2 = divmod(pair, bound.model.masks)
+        rows += [[l1, l2, obs, float(not transmit), float(transmit),
+                  "TRANSMIT" if majority[(l2, obs)] else "WAIT"] for obs in range(4)]
+    write_csv(path, ["peer_mask", "agent_mask", "observation",
+                     "p_wait", "p_transmit", "majority_action"], rows)
 
 
 def _cmd_sweep(opts: dict) -> int:
@@ -293,7 +293,7 @@ def _cmd_sweep(opts: dict) -> int:
         with_bound=opts["with_bound"],
         out_path=out,
     )
-    print(f"wrote {result.path} ({len(result.rows)} groups)")
+    print(f"wrote {out} ({len(result.rows)} groups)")
     return 0
 
 
@@ -308,7 +308,7 @@ def _cmd_convergence(opts: dict) -> int:
         window=opts["window"],
         out_path=out,
     )
-    print(f"wrote {result.path} ({len(result.rows)} windows)")
+    print(f"wrote {out} ({len(result.rows)} windows)")
     return 0
 
 
@@ -338,7 +338,7 @@ def _cmd_congestion(opts: dict) -> int:
         ranges=_ranges(opts),
         out_path=out,
     )
-    print(f"wrote {result.path} ({len(result.rows)} rows)")
+    print(f"wrote {out} ({len(result.rows)} rows)")
     return 0
 
 

@@ -4,11 +4,15 @@ Every packet arrives with a fixed lifetime of D slots: a packet that enters
 the queue during slot t can be transmitted in slots t .. t+D-1 and is dropped
 at the end of slot t+D-1 if it was never delivered.  Queues therefore track
 packets by remaining lead time instead of arrival order.
+
+write_csv writes every CSV file of the package, floats as repr.
 """
 
 from __future__ import annotations
 
+import csv
 import enum
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -17,6 +21,7 @@ __all__ = [
     "ChannelObservation",
     "DeviceParams",
     "LeadTimeQueue",
+    "write_csv",
 ]
 
 
@@ -162,3 +167,22 @@ class LeadTimeQueue:
         del c[0]
         c.append(arrivals)
         return expired
+
+
+def write_csv(path: str, header: list[str], rows: Iterable[list], newline: str = "\r\n",
+              comment: str | None = None) -> None:
+    """Write an ASCII CSV with lines ending in `newline`, first "# <comment>" if given.
+
+    Floats, numpy's included, are written as repr(float(v)); an OSError
+    surfaces as RuntimeError("cannot write <path>: ...").
+    """
+    try:
+        with open(path, "w", newline="", encoding="ascii") as fh:
+            if comment is not None:
+                fh.write(f"# {comment}{newline}")
+            writer = csv.writer(fh, lineterminator=newline)
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+    except OSError as exc:
+        raise RuntimeError(f"cannot write {path}: {exc}") from exc

@@ -26,6 +26,10 @@ buffered in a UniformStream.  A blind device's draws depend on its queue,
 and the slot loop reads its buffer directly.  A learner's do not: each block
 its stream is read ahead into an exploration plan, the explored action or
 GREEDY for every slot, with the consumption select() would have.
+
+A traced loop records only the facts of each slot (who sent, the winner,
+the observation, arrivals, backlogs); the SlotRecords, their expiries and
+running totals are derived from them after the loop.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import functools
 import linecache
 from dataclasses import dataclass
 from itertools import compress, groupby
+from operator import add, sub
 
 import numpy as np
 
@@ -50,7 +55,7 @@ from dcra.agents import (
     reward_table,
     state_space_size,
 )
-from dcra.core import Action, ApFeedback, ChannelObservation, DeviceParams
+from dcra.core import Action, ApFeedback, ChannelObservation, DeviceParams, write_csv
 
 __all__ = [
     "AgentSpec",
@@ -420,26 +425,10 @@ rho{i} += gain_step * delta""",
     False: "q{i}[k{i}] += step * (r + discount * best - q{i}[k{i}])",
 }
 
-# expiries follow from conservation: backlog before, plus arrivals, minus the
-# delivery, minus backlog after
+# a traced slot appends its facts, from which _slot_records derives the rest:
+# who sent, the winner, what the others observe, arrivals and backlog after
 _TRACE = """\
-arr = ({arr},)
-bl = ({backlog},)
-deliveries_cum += blk_delivered[j]
-transmissions_cum += n_send
-records.append(SlotRecord(
-    slot=t0 + j + 1,
-    sent=({sent},),
-    feedback=feedbacks[o],
-    winner=w if w >= 0 else None,
-    observations=({obs},),
-    arrivals=arr,
-    expired=({expired},),
-    backlog=bl,
-    deliveries_cum=deliveries_cum,
-    transmissions_cum=transmissions_cum,
-))
-bk = bl
+records.append((({sent},), w, o, ({arr},), ({backlog},)))
 """
 
 _LOOP = """\
@@ -448,8 +437,6 @@ def slot_loop(horizon, block, pblock, top, channel_gen, arrival_gens, rates, suc
               delivered_arr, senders_arr, records):
 {setup}
     lone = -1
-    bk = (0,) * len(rates)  #T
-    deliveries_cum = transmissions_cum = 0  #T
     for t0 in range(0, horizon, block):
         size = min(block, horizon - t0)
         chan = channel_gen.random(size).tolist()
@@ -511,11 +498,9 @@ def _loop_source(kinds: tuple[str, ...], traced: bool) -> str:
     trace = ""
     if traced:
         trace = block(_TRACE, 12, **{
+            "sent": ", ".join(f"x{i}" for i in range(n)),
             "arr": ", ".join(f"A{i}[j]" for i in range(n)),
             "backlog": ", ".join(f"m{i}.bit_count()" for i in range(n)),
-            "sent": ", ".join(f"x{i}" for i in range(n)),
-            "obs": ", ".join(f"2 if w == {i} else o" for i in range(n)),
-            "expired": ", ".join(f"bk[{i}] + arr[{i}] - (w == {i}) - bl[{i}]" for i in range(n)),
         })
     return block(_LOOP, 0, **{
         "setup": "\n".join(setup),
@@ -539,14 +524,32 @@ def _compiled_loop(kinds: tuple[str, ...], traced: bool):
     name = _loop_name(kinds, traced)
     source = _loop_source(kinds, traced)
     linecache.cache[name] = (len(source), None, source.splitlines(True), name)
-    namespace = {
-        "SlotRecord": SlotRecord,
-        "feedbacks": (ApFeedback.NOTHING, ApFeedback.ACK, None, ApFeedback.NACK),
-        "plan": _exploration_plan,
-        "uint8": np.uint8,
-    }
+    namespace = {"plan": _exploration_plan, "uint8": np.uint8}
     exec(compile(source, name, "exec"), namespace)
     return namespace["slot_loop"]
+
+
+def _slot_records(rows: list, n: int) -> list[SlotRecord]:
+    """Replace the traced loop's rows (sent, w, o, arrivals, backlog) by their
+    SlotRecords, in place, so that a row is freed as its record is made."""
+    feedbacks = (ApFeedback.NOTHING, ApFeedback.ACK, None, ApFeedback.NACK)
+    before = (0,) * n
+    deliveries_cum = transmissions_cum = 0
+    for k, (sent, w, o, arrivals, backlog) in enumerate(rows):
+        transmissions_cum += sum(sent)
+        observations = [o] * n
+        # expiries follow from conservation: backlog before, plus arrivals,
+        # minus the delivery, minus backlog after
+        expired = list(map(sub, map(add, before, arrivals), backlog))
+        if w >= 0:
+            deliveries_cum += 1
+            observations[w] = ChannelObservation.SUCCESSFUL.value
+            expired[w] -= 1
+        rows[k] = SlotRecord(k + 1, sent, feedbacks[o], w if w >= 0 else None,
+                             tuple(observations), arrivals, tuple(expired), backlog,
+                             deliveries_cum, transmissions_cum)
+        before = backlog
+    return rows
 
 
 def run(config: ScenarioConfig, trace: bool = False) -> RunResult:
@@ -597,7 +600,7 @@ def run(config: ScenarioConfig, trace: bool = False) -> RunResult:
 
     delivered_arr = np.zeros(horizon, dtype=np.uint8)
     senders_arr = np.zeros(horizon, dtype=np.int16)
-    records: list[SlotRecord] | None = [] if trace else None
+    records: list | None = [] if trace else None
     loop = _compiled_loop(tuple(dev.agent.kind for dev in devices), trace)
     loop(horizon, BLOCK, STREAM_BLOCK, config.lifetime - 1, channel_gen, arrival_gens,
          [dev.params.arrival_rate for dev in devices],
@@ -609,12 +612,12 @@ def run(config: ScenarioConfig, trace: bool = False) -> RunResult:
         config=config,
         metrics=Metrics(delivered=delivered_arr, senders=senders_arr),
         learners=tuple(learners),
-        trace=records,
+        trace=None if records is None else _slot_records(records, n),
     )
 
 
 def write_trace_csv(result: RunResult, path: str) -> None:
-    """Dump a traced run, one row per slot, stable formatting for diffing."""
+    """Dump a traced run, one LF-ended row per slot, stable formatting for diffing."""
     if result.trace is None:
         raise ValueError("run was not traced; pass trace=True to run()")
     n = len(result.config.devices)
@@ -623,18 +626,13 @@ def write_trace_csv(result: RunResult, path: str) -> None:
     header += ["feedback", "winner"]
     header += [f"obs_{i}" for i in range(n)]
     header += ["deliveries_cum", "transmissions_cum"]
-    header += [f"arrivals_{i}" for i in range(n)]
-    header += [f"expired_{i}" for i in range(n)]
-    header += [f"backlog_{i}" for i in range(n)]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for rec in result.trace:
-            row = [str(rec.slot)]
-            row += [Action(int(s)).name for s in rec.sent]
-            row += [rec.feedback.name, "" if rec.winner is None else str(rec.winner)]
-            row += [ChannelObservation(o).name for o in rec.observations]
-            row += [str(rec.deliveries_cum), str(rec.transmissions_cum)]
-            row += [str(a) for a in rec.arrivals]
-            row += [str(e) for e in rec.expired]
-            row += [str(b) for b in rec.backlog]
-            fh.write(",".join(row) + "\n")
+    header += [f"{column}_{i}" for column in ("arrivals", "expired", "backlog")
+               for i in range(n)]
+    actions = [a.name for a in Action]
+    observations = [o.name for o in ChannelObservation]
+    # csv writes a winner of None as an empty field
+    rows = ([rec.slot, *(actions[s] for s in rec.sent), rec.feedback.name, rec.winner,
+             *(observations[o] for o in rec.observations), rec.deliveries_cum,
+             rec.transmissions_cum, *rec.arrivals, *rec.expired, *rec.backlog]
+            for rec in result.trace)
+    write_csv(path, header, rows, newline="\n")

@@ -19,7 +19,6 @@ spec with the same seed yields byte-identical files.
 
 from __future__ import annotations
 
-import csv
 import os
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
@@ -29,7 +28,7 @@ from typing import TypeVar
 import numpy as np
 
 from .agents import RewardSpec
-from .core import DeviceParams
+from .core import DeviceParams, write_csv
 from .env import AgentSpec, DeviceSetup, ScenarioConfig, check_window, run
 from .mdp import TwoDeviceParams, build_mdp, upper_bound
 
@@ -104,24 +103,10 @@ class SweepResult:
     header: list[str]
     rows: list[list]
     aggregate: list | None = None
-    path: str | None = None
 
     def column(self, name: str) -> list:
         i = self.header.index(name)
         return [row[i] for row in self.rows]
-
-
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    try:
-        with open(path, "w", newline="", encoding="ascii") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow(
-                    [repr(float(v)) if isinstance(v, float) else v for v in row]
-                )
-    except OSError as exc:
-        raise RuntimeError(f"cannot write {path}: {exc}") from exc
 
 
 def _mean_row(label: str, rows: list[list]) -> list:
@@ -323,11 +308,9 @@ def run_sweep(
                 raise _group_failed(seed, lifetime, g, exc) from exc
         rows.append(row)
     aggregate = _mean_row("mean", rows)
-    result = SweepResult(header, rows, aggregate)
     if out_path:
-        _write_csv(out_path, header, rows + [aggregate])
-        result.path = out_path
-    return result
+        write_csv(out_path, header, rows + [aggregate])
+    return SweepResult(header, rows, aggregate)
 
 
 def run_convergence(
@@ -355,11 +338,9 @@ def run_convergence(
         base = list(params.as_tuple()) + [lifetime, 1, 1]
         for k, value in enumerate(series):
             rows.append(base + [agent, (k + 1) * window, value])
-    result = SweepResult(header, rows)
     if out_path:
-        _write_csv(out_path, header, rows)
-        result.path = out_path
-    return result
+        write_csv(out_path, header, rows)
+    return SweepResult(header, rows)
 
 
 def _multi_device_config(
@@ -400,9 +381,11 @@ def run_congestion(
 
     The peers model legacy traffic: every slot brings a fresh packet
     (arrival probability one), transmission probability 1/(4*peer_count),
-    success probability one half.  Each agent count is run twice on the same
-    scenario seed, once with learning devices and once with blind devices at
-    probability 1/count.  The first row is always agent count zero, the
+    success probability one half.  Each newcomer draws its arrival and its
+    success probability from `ranges.arrival` and `ranges.success`, the
+    only ranges this study draws from.  Each agent count is run twice on the
+    same scenario seed, once with learning devices and once with blind
+    devices at probability 1/count.  The first row is always agent count zero, the
     no-newcomer baseline, where both arms degenerate to the same peers-only
     run; a 0 in `agent_counts` names that row and adds none.
     """
@@ -450,8 +433,6 @@ def run_congestion(
             *learners,
             *control,
         ])
-    result = SweepResult(header, rows)
     if out_path:
-        _write_csv(out_path, header, rows)
-        result.path = out_path
-    return result
+        write_csv(out_path, header, rows)
+    return SweepResult(header, rows)

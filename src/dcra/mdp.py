@@ -169,14 +169,15 @@ def build_mdp(params: TwoDeviceParams, lifetime: int) -> TwoDeviceModel:
 class BoundResult:
     """Upper-bound value with a deterministic optimal policy that attains it.
 
-    `policy` holds the greedy action of the average-reward optimality
-    equations (ties within TIE_TOL to WAIT) as 0/1 rows; it is the same for
-    the four observations of each (l1, l2) pair.  `iterations` counts the
-    policy-iteration steps.
+    `transmit[l1 * 2^D + l2]` is the greedy action of the average-reward
+    optimality equations on the pair (l1, l2), True for TRANSMIT (ties
+    within TIE_TOL to WAIT); a joint state takes the action of its pair,
+    whatever its observation.  `iterations` counts the policy-iteration
+    steps.
     """
 
     value: float
-    policy: np.ndarray  # (n_states, 2), rows are one-hot (WAIT, TRANSMIT)
+    transmit: np.ndarray  # (4^D,) bool, one action per (l1, l2) pair
     iterations: int
     model: TwoDeviceModel
 
@@ -256,8 +257,8 @@ def upper_bound(model: TwoDeviceModel) -> BoundResult:
     policy for (g, h), switch every pair to the greedy action, gain first
     (P_a g) and then bias (r_a + P_a h), with ties within TIE_TOL to WAIT,
     and stop when the policy no longer changes.  The Q-gaps of a joint
-    state equal those of its pair, so repeating each pair's action over its
-    four observations is an optimal joint policy.  The value is the gain
+    state equal those of its pair, so each pair's action, taken in all four
+    of its observations, is an optimal joint policy.  The value is the gain
     averaged uniformly over the joint states, as bound_program weighs them.
 
     Where the gain is constant the optimality-equation residual
@@ -286,29 +287,23 @@ def upper_bound(model: TwoDeviceModel) -> BoundResult:
             raise RuntimeError(
                 f"bound policy leaves optimality-equation residual {residual!r}"
             )
-    joint = np.repeat(transmit, 4).astype(float)
     return BoundResult(
-        value=float(gain.mean()),
-        policy=np.stack([1.0 - joint, joint], axis=1),
-        iterations=iterations,
-        model=model,
+        value=float(gain.mean()), transmit=transmit, iterations=iterations, model=model
     )
 
 
 def majority_policy(bound: BoundResult) -> dict[tuple[int, int], int]:
     """Vote the bound's policy down to the tracked device's view.
 
-    For each (l2, o) every joint state votes its action (TRANSMIT when its
-    transmit probability is strictly above one half) and the majority across
-    the 2^D peer masks wins, with ties to WAIT.  upper_bound's policy is the
-    greedy action of the optimality equations on every state, so the vote
-    depends on no solver path.  Returns 0 for WAIT and 1 for TRANSMIT per
-    (l2, o) key.
+    For each l2 every pair (l1, l2) votes its action and the majority across
+    the 2^D peer masks wins, with ties to WAIT; the vote is the same for all
+    four observations o.  upper_bound's policy is the greedy action of the
+    optimality equations on every pair, so the vote depends on no solver
+    path.  Returns 0 for WAIT and 1 for TRANSMIT per (l2, o) key.
     """
     m = bound.model.masks
-    votes = (bound.policy[:, 1] > 0.5).reshape(m, m, 4).sum(axis=0)
-    wins = votes > m // 2
-    return {(l2, o): int(wins[l2, o]) for l2 in range(m) for o in range(4)}
+    wins = bound.transmit.reshape(m, m).sum(axis=0) > m // 2
+    return {(l2, o): int(wins[l2]) for l2 in range(m) for o in range(4)}
 
 
 def constant_policy_throughput(params: TwoDeviceParams, transmit_prob: float) -> float:

@@ -384,7 +384,7 @@ def test_shifted_reward_discounted_learner_parity(full_state_runs):
     configs = [
         two_device(
             REF, 2, 1_000_000, seed,
-            AgentSpec("q-full", reward=RewardSpec.two_level_shifted(0.3)),
+            AgentSpec("q-full", reward=RewardSpec.two_level(0.3)),
         )
         for seed in (0, 1, 2)
     ]

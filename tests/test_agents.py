@@ -35,7 +35,7 @@ class TestRewards:
 
     def test_shift_is_uniform(self):
         base = RewardSpec.two_level()
-        shifted = RewardSpec.two_level_shifted(0.3)
+        shifted = RewardSpec.two_level(0.3)
         for obs in (IDLE, BUSY, SUCC, FAIL):
             for action in (W, T):
                 for urgent in (False, True):
@@ -66,11 +66,16 @@ class TestRewards:
         assert RewardSpec.parse("two-level").kind is RewardKind.TWO_LEVEL
         assert RewardSpec.parse("multi-level").kind is RewardKind.MULTI_LEVEL
         spec = RewardSpec.parse("two-level-shifted:0.3")
-        assert spec.kind is RewardKind.TWO_LEVEL_SHIFTED and spec.shift == 0.3
+        assert spec.kind is RewardKind.TWO_LEVEL and spec.shift == 0.3
         with pytest.raises(ValueError):
             RewardSpec.parse("bogus")
         with pytest.raises(ValueError):
-            RewardSpec.two_level_shifted(1.5)
+            RewardSpec.two_level(1.5)
+
+    def test_unshifted_two_level_has_one_spelling(self):
+        assert RewardSpec.parse("two-level-shifted:0") == RewardSpec()
+        with pytest.raises(ValueError, match="shift only applies"):
+            RewardSpec(RewardKind.MULTI_LEVEL, 0.3)
 
 
 class TestStateEncoding:

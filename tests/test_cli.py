@@ -448,3 +448,44 @@ def test_unwritable_output_path(capsys, tmp_path):
     )
     assert rc == 1
     assert "sweep.csv" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("policy-dump", "--slots", "200", "--out"),
+    ("simulate", "--slots", "50", "--trace-out"),
+    ("upper-bound", "--lifetime", "1", "--policy-out"),
+])
+def test_write_failure_is_one_cannot_write_line(capsys, tmp_path, argv):
+    path = tmp_path / "missing" / "out.csv"
+    rc, _, err = run_cli(capsys, *argv, str(path))
+    assert rc == 1
+    assert err.startswith(f"error: cannot write {path}: [Errno 2] ")
+    assert err.count("\n") == 1
+    assert not path.parent.exists()
+
+
+def test_congestion_has_no_transmit_range(capsys, tmp_path):
+    # congestion draws only arrival and success probabilities, so a transmit
+    # range, as a flag or as a config key, is an error and nothing runs
+    out = tmp_path / "cong.csv"
+    argv = ["congestion", "--slots", "3000", "--window", "1000", "--agent-counts", "2",
+            "--out", str(out)]
+    with pytest.raises(SystemExit) as exit_:
+        main(argv + ["--transmit-range", "0.9", "0.9"])
+    assert exit_.value.code != 0
+    assert "--transmit-range" in capsys.readouterr().err
+    cfg = tmp_path / "cong.json"
+    cfg.write_text(json.dumps({"transmit_range": [0.9, 0.9]}))
+    rc, out_text, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert rc == 1 and out_text == ""
+    assert err == f"error: config {cfg}: unknown key 'transmit_range'\n"
+    assert not out.exists()
+
+
+def test_blind_agent_accepts_the_unshifted_reward_in_either_spelling(capsys):
+    argv = ("simulate", "--agent", "blind", "--agent-transmit", "0.3", "--slots", "100")
+    rc, plain, err = run_cli(capsys, *argv, "--reward", "two-level")
+    assert rc == 0 and err == ""
+    rc, out, err = run_cli(capsys, *argv, "--reward", "two-level-shifted:0")
+    assert rc == 0 and err == ""
+    assert out == plain

@@ -1,9 +1,10 @@
-"""Queue bookkeeping: hand-traced slot advances plus conservation properties."""
+"""Queue bookkeeping: hand-traced slot advances plus conservation properties;
+the CSV writer."""
 
 import numpy as np
 import pytest
 
-from dcra.core import DeviceParams, LeadTimeQueue
+from dcra.core import DeviceParams, LeadTimeQueue, write_csv
 from oracles import draw_arrivals
 
 
@@ -128,3 +129,29 @@ class TestArrivals:
             DeviceParams(arrival_rate=0.5, success_prob=-0.1)
         with pytest.raises(ValueError):
             DeviceParams(arrival_rate=0.5, success_prob=0.5, transmit_prob=1.5)
+
+
+class TestWriteCsv:
+    ROWS = [[0.1, np.float64(1 / 3), 2, True, "x"], [np.float64(-0.0), 1e-300, -4, False, ""]]
+
+    def test_crlf_by_default(self, tmp_path):
+        path = tmp_path / "a.csv"
+        write_csv(str(path), ["f", "g", "i", "b", "s"], self.ROWS)
+        assert path.read_bytes() == (b"f,g,i,b,s\r\n"
+                                     b"0.1,0.3333333333333333,2,True,x\r\n"
+                                     b"-0.0,1e-300,-4,False,\r\n")
+
+    def test_lf_with_a_comment_line(self, tmp_path):
+        path = tmp_path / "a.csv"
+        write_csv(str(path), ["f", "g", "i", "b", "s"], self.ROWS, newline="\n",
+                  comment="rho=0.25")
+        assert path.read_bytes() == (b"# rho=0.25\n"
+                                     b"f,g,i,b,s\n"
+                                     b"0.1,0.3333333333333333,2,True,x\n"
+                                     b"-0.0,1e-300,-4,False,\n")
+
+    def test_write_failure_is_one_runtime_error(self, tmp_path):
+        path = tmp_path / "missing" / "a.csv"
+        with pytest.raises(RuntimeError, match=r"^cannot write .*a\.csv: \[Errno 2\]"):
+            write_csv(str(path), ["x"], [[1]])
+        assert not path.parent.exists()

@@ -149,7 +149,7 @@ class TestRunBasics:
             devices=(
                 blind_device(0.3, 0.6, 0.35),
                 DeviceSetup(DeviceParams(0.25, 0.8), AgentSpec.learner("r-tiny", RewardSpec.multi_level())),
-                DeviceSetup(DeviceParams(0.55, 0.7), AgentSpec.learner("q-full", RewardSpec.two_level_shifted(0.3))),
+                DeviceSetup(DeviceParams(0.55, 0.7), AgentSpec.learner("q-full", RewardSpec.two_level(0.3))),
             ),
         )
         run(cfg)  # reaching an impossible reward cell would raise
@@ -270,7 +270,7 @@ class TestValidation:
     @pytest.mark.parametrize("kind, transmit_prob, reward, message", [
         ("r-tiny", 0.3, RewardSpec(), "transmit_prob only applies to blind agents"),
         ("blind", 0.3, RewardSpec.multi_level(), "reward only applies to learner agents"),
-        ("blind", None, RewardSpec.two_level_shifted(0.0), "reward only applies"),
+        ("blind", None, RewardSpec.two_level(0.3), "reward only applies"),
     ])
     def test_agent_spec_rejects_what_its_kind_cannot_use(self, kind, transmit_prob, reward,
                                                          message):
@@ -312,7 +312,7 @@ class TestRewardTable:
     CELLS = [(o, a, u) for o in range(4) for a in (0, 1) for u in (False, True)]
 
     def test_cells_match_reward_value(self):
-        specs = [RewardSpec.two_level(), RewardSpec.two_level_shifted(0.45),
+        specs = [RewardSpec.two_level(), RewardSpec.two_level(0.45),
                  RewardSpec.multi_level()]
         for spec in specs:
             table = reward_table(spec)
@@ -334,7 +334,7 @@ class TestRewardTable:
 # horizons around the block of channel and arrival draws; two blocks of
 # slots also run a learner's policy stream past its first 8192-draw buffer
 HORIZONS = (1, 2, 3, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK)
-REWARDS = (RewardSpec.two_level(), RewardSpec.two_level_shifted(0.3), RewardSpec.multi_level())
+REWARDS = (RewardSpec.two_level(), RewardSpec.two_level(0.3), RewardSpec.multi_level())
 # probabilities on a grid including 0 and 1: raw floats would mostly be edge
 # values such as 5e-324, which leave the channel silent
 unit = st.integers(0, 10).map(lambda k: k / 10)
@@ -452,7 +452,7 @@ class TestCompiledLoop:
                 blind_device(arrival, 0.5, transmit),
                 DeviceSetup(DeviceParams(arrival, 0.9), AgentSpec.learner("q-hol")),
                 DeviceSetup(DeviceParams(0.3, 0.7),
-                            AgentSpec.learner("r-full", RewardSpec.two_level_shifted(transmit))),
+                            AgentSpec.learner("r-full", RewardSpec.two_level(transmit))),
             ))
 
         compiled = []
@@ -466,6 +466,13 @@ class TestCompiledLoop:
         assert env._compiled_loop.cache_info().misses == 1
         run(config(3, 2, 0.5, 0.5), trace=True)
         assert compiled[1:] == ["<dcra slot loop b,qh,rf traced>"]
+
+    @pytest.mark.parametrize("make", [congestion_shape, every_kind_mix])
+    def test_traced_loop_records_facts_not_slot_records(self, make):
+        kinds = tuple(d.agent.kind for d in make().devices)
+        assert "SlotRecord(" not in env._loop_source(kinds, True)
+        namespace = env._compiled_loop(kinds, True).__globals__
+        assert "SlotRecord" not in namespace and "feedbacks" not in namespace
 
     def test_loop_names_list_the_layout(self):
         assert env._loop_name(tuple(d.agent.kind for d in congestion_shape().devices),

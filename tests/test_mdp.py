@@ -170,12 +170,6 @@ def test_bound_exceeds_constant_policy_in_contested_regime():
     assert res.value > const_value + 0.1
 
 
-def test_policy_rows_are_distributions():
-    res = upper_bound(build_mdp(REF, 2))
-    assert res.policy.min() >= 0.0
-    assert np.abs(res.policy.sum(axis=1) - 1.0).max() <= 1e-9
-
-
 def test_bound_matches_value_iteration_lifetime2():
     model = build_mdp(REF, 2)
     res = upper_bound(model)
@@ -282,9 +276,8 @@ def test_bound_equals_lp_optimum(lifetime, n_random):
         res = upper_bound(model)
         lp_value = solve_lp(bound_program(model)).objective
         assert res.value == pytest.approx(lp_value, abs=1e-9), params
-        assert np.isin(res.policy, (0.0, 1.0)).all()
-        per_pair = res.policy[:, 1].reshape(-1, 4)
-        assert (per_pair == per_pair[:, :1]).all(), params
+        assert res.transmit.dtype == bool, params
+        assert res.transmit.shape == (model.masks * model.masks,), params
 
 
 def test_bound_does_not_solve_the_lp(monkeypatch):
@@ -331,9 +324,9 @@ def test_bound_policy_with_several_recurrent_classes():
     model = build_mdp(TwoDeviceParams(0.0, 1.0, 0.0, 1.0, 0.0), 2)
     res = upper_bound(model)
     assert res.value == pytest.approx(1.0, abs=1e-12)
-    for s in range(model.n_states):
-        _, l2, _ = model.decode(s)
-        assert res.policy[s, 1] == (1.0 if l2 else 0.0), model.decode(s)
+    for pair, transmit in enumerate(res.transmit):
+        l1, l2 = divmod(pair, model.masks)
+        assert transmit == (l2 != 0), (l1, l2)
 
 
 def test_majority_policy_reference_rows():

@@ -6,13 +6,15 @@ keys mirror the flag names (dashes or underscores).  Its values are checked
 against their flags, converted by each flag's type and installed as the
 subcommand's defaults, so the precedence is built-in defaults < config file <
 explicit flags.  Output paths default into the directory named by
-DCRA_OUTPUT_DIR (falling back to the working directory).  The process exits 0
+DCRA_OUTPUT_DIR (falling back to the working directory), and each is checked
+for writing before any model is built or any slot runs.  The process exits 0
 on success and nonzero after printing one diagnostic line to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -212,8 +214,31 @@ def _note_ignored(opts: dict, *keys: str) -> None:
         print(f"note: {opts['command']} ignores {' and '.join(ignored)}", file=sys.stderr)
 
 
+def _check_writable(*paths: str | None) -> None:
+    """Fail now, with write_csv's message, on an output path that cannot be
+    written, so that no run is spent before the write fails; creates no file."""
+    for path in paths:
+        if path is None:
+            continue
+        parent = os.path.dirname(path) or os.curdir
+        if os.path.isdir(path):
+            code = errno.EISDIR
+        elif not os.path.isdir(parent):
+            code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+        elif not os.access(parent, os.W_OK | os.X_OK) or (
+                os.path.exists(path) and not os.access(path, os.W_OK)):
+            code = errno.EACCES
+        else:
+            continue
+        exc = OSError(code, os.strerror(code), path)
+        raise RuntimeError(f"cannot write {path}: {exc}") from exc
+
+
 def _out_path(opts: dict, default_name: str) -> str:
-    return opts["out"] or os.path.join(experiments.default_output_dir(), default_name)
+    """The command's --out, else default_name in the output directory; checked."""
+    path = opts["out"] or os.path.join(experiments.default_output_dir(), default_name)
+    _check_writable(path)
+    return path
 
 
 def _pair_params(opts: dict) -> TwoDeviceParams:
@@ -230,6 +255,7 @@ def _ranges(opts: dict) -> experiments.ParamRanges:
 
 def _cmd_simulate(opts: dict) -> int:
     _note_ignored(opts, "out")
+    _check_writable(opts["trace_out"])
     cfg = experiments.two_device_config(
         _pair_params(opts), opts["lifetime"], opts["agent"], opts["slots"],
         seed=opts["seed"],
@@ -255,6 +281,7 @@ def _cmd_upper_bound(opts: dict) -> int:
             f"lifetime {lifetime} builds a {(1 << lifetime) ** 2 * 4}-state model; "
             "pass --allow-large if you really want this"
         )
+    _check_writable(opts["export_lp"], opts["policy_out"])
     model = build_mdp(_pair_params(opts), lifetime)
     if opts["export_lp"]:
         write_mps(bound_program(model), opts["export_lp"],

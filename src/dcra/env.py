@@ -22,10 +22,14 @@ consumes exactly one uniform per slot whether or not anyone transmitted.
 The channel and arrival streams are drawn BLOCK slots at a time (one
 uniform per slot each), which yields the same sequence as drawing them slot
 by slot.  Policy streams take 0, 1 or 2 uniforms per slot, so they stay
-buffered in a UniformStream.  A blind device's draws depend on its queue,
-and the slot loop reads its buffer directly.  A learner's do not: each block
+buffered in a UniformStream, whose block is a numpy array.  A blind device's
+draws depend on its queue, so the slot loop compares each refill with its
+transmit probability in one array operation and reads the decisions, one per
+draw, as it goes.  A learner's draws do not depend on its queue: each block
 its stream is read ahead into an exploration plan, the explored action or
-GREEDY for every slot, with the consumption select() would have.
+GREEDY for every slot, with the consumption select() would have.  The plan
+reads the array and lists only the draws below the exploration floor, so a
+learner's stream is never turned into Python floats.
 
 A traced loop records only the facts of each slot (who sent, the winner,
 the observation, arrivals, backlogs); the SlotRecords, their expiries and
@@ -37,7 +41,7 @@ from __future__ import annotations
 import functools
 import linecache
 from dataclasses import dataclass
-from itertools import compress, groupby
+from itertools import groupby
 from operator import add, sub
 
 import numpy as np
@@ -80,29 +84,37 @@ class UniformStream:
     """Block-buffered scalar uniforms over one PCG64 generator.
 
     Consuming through .random() yields the same sequence as the underlying
-    generator would produce; buffering only amortises the per-call overhead
-    in the slot loop.
+    generator would produce; buffering only amortises the per-call overhead.
+    A block is kept as the array that the generator returns.  random()
+    lists it on its first read of the block, once, and reads the list;
+    the slot loop and the exploration plan take the array from _refill()
+    and never list it.
     """
 
-    __slots__ = ("_gen", "_buf", "_pos", "_block")
+    __slots__ = ("_gen", "_buf", "_list", "_pos", "_block")
 
     def __init__(self, seed, block: int = STREAM_BLOCK) -> None:
         self._gen = np.random.default_rng(seed)
         self._block = block
-        self._buf: list[float] = []
+        self._buf = np.empty(0)
+        self._list: list[float] = []  # _buf as floats once random() has read it
         self._pos = 0
 
     def random(self) -> float:
         pos = self._pos
-        if pos >= len(self._buf):
-            self._refill()
-            pos = 0
+        values = self._list
+        if pos >= len(values):
+            if pos >= len(self._buf):
+                self._refill()
+                pos = 0
+            values = self._list = self._buf.tolist()
         self._pos = pos + 1
-        return self._buf[pos]
+        return values[pos]
 
-    def _refill(self) -> list[float]:
+    def _refill(self) -> np.ndarray:
         """Replace the exhausted buffer with the next block; returns it."""
-        self._buf = self._gen.random(self._block).tolist()
+        self._buf = self._gen.random(self._block)
+        self._list = []
         self._pos = 0
         return self._buf
 
@@ -269,7 +281,8 @@ def _exploration_plan(learner: TabularLearner, n: int) -> list[int]:
     as n select() calls would leave them: a slot takes one uniform, and one
     more for the explored action when the first falls below epsilon.  While
     epsilon decays the draws are read slot by slot; at EPSILON_FLOOR only the
-    uniforms below the floor are visited.
+    uniforms below the floor are visited, found a window at a time in the
+    stream's array.
     """
     plan = [GREEDY] * n
     stream = learner.rng
@@ -288,14 +301,15 @@ def _exploration_plan(learner: TabularLearner, n: int) -> list[int]:
             plan[j] = 1 if buf[pos] < 0.5 else 0
             pos += 1
         j += 1
-    below = EPSILON_FLOOR.__gt__
     while j < n:
         if pos == len(buf):
             buf, pos = stream._refill(), 0
         # the slots left take the uniforms from pos to end unless they explore;
         # each exploration pushes the slots after it one uniform further on
+        start = pos
         end = min(len(buf), pos + n - j)
-        for c in compress(range(pos, end), map(below, buf[pos:end])):
+        for c in np.flatnonzero(buf[start:end] < EPSILON_FLOOR).tolist():
+            c += start
             if c < pos:
                 continue  # drawn as the previous exploration's action
             j += c - pos
@@ -309,7 +323,7 @@ def _exploration_plan(learner: TabularLearner, n: int) -> list[int]:
         if pos < end:
             j += end - pos
             pos = end
-    stream._buf, stream._pos = buf, pos
+    stream._pos = pos
     learner._epsilon = eps
     learner.steps += n
     return plan
@@ -318,18 +332,29 @@ def _exploration_plan(learner: TabularLearner, n: int) -> list[int]:
 # The slot loop is generated per device layout.  Each device gets the code of
 # its kind, with {i} its index; a line ending in "#T" is kept only in a
 # traced loop.  Per device the loop keeps in locals the queue mask m{i}; for a
-# blind device its probability pr{i}, stream st{i}, buffer b{i} and cursor
-# p{i}; for a learner its doubled state s{i}, the q index k{i} of the action
-# it took, the physical action x{i}, its q list q{i}, gain rho{i}, reward
-# table R{i} and the block's exploration plan P{i}.  run() hands the loop
-# fresh streams of STREAM_BLOCK uniforms a refill, so a blind device draws its
-# first buffer up front and refills when its cursor reaches pblock.
+# blind device its probability pr{i}, stream st{i}, cursor p{i} and b{i}, its
+# current refill compared with pr{i} in one array operation: a list of bools,
+# True where that draw sends; for a learner its doubled state s{i}, the q
+# index k{i} of the action it took, the physical action x{i}, the slot's
+# reward r{i}, its q list q{i}, gain rho{i}, reward table R{i} and the
+# block's exploration plan P{i}.  run() hands the loop fresh streams of
+# STREAM_BLOCK uniforms a refill, so a blind device draws its first buffer up
+# front and refills when its cursor reaches pblock.
+#
+# Once every device has acted, the slot takes one of three branches, idle,
+# decoded or collided, and every device closes the slot inside it: delivery,
+# expiry, shift and arrivals, and for a learner its reward and next state,
+# whose observation is a constant there.  A learner's update reads no
+# outcome, so it follows the branches once instead of being written into
+# each.  o, what every device but the winner observes (IDLE, BUSY after a
+# decoded slot, FAILED after a NACK), and w, the winner or -1, are kept only
+# for the trace.
 
 _BLIND_SETUP = """\
 m{i} = 0
 pr{i} = probs[{i}]
 st{i} = streams[{i}]
-b{i} = st{i}._refill()
+b{i} = (st{i}._refill() < pr{i}).tolist()
 p{i} = 0
 """
 
@@ -345,9 +370,9 @@ _BLIND_ACT = """\
 x{i} = False  #T
 if m{i}:
     if p{i} == pblock:
-        b{i} = st{i}._refill()
+        b{i} = (st{i}._refill() < pr{i}).tolist()
         p{i} = 0
-    if b{i}[p{i}] < pr{i}:
+    if b{i}[p{i}]:
         x{i} = True  #T
         n_send += 1
         lone = {i}
@@ -367,62 +392,89 @@ else:
     x{i} = False
 """
 
-# o is what every device but the winner observes: IDLE, BUSY after a decoded
-# slot, FAILED after a NACK; w is the winner, -1 for none
+# only the lone sender of a decoded slot can be its winner
 _RESOLVE = """\
 if n_send == 0:
-    o = 0
-    w = -1
+    o = 0  #T
+    w = -1  #T
+{idle}
 elif n_send == 1 and chan[j] < success[lone]:
-    o = 1
-    w = lone
+    o = 1  #T
+    w = lone  #T
     blk_delivered[j] = 1
     blk_senders[j] = 1
+{decoded}
 else:
-    o = 3
-    w = -1
+    o = 3  #T
+    w = -1  #T
     blk_senders[j] = n_send
+{collided}
 """
 
-# close out the slot: delivery, expiry, shift, arrivals
+# a blind device's close in the idle and collided branches, and in the
+# decoded one
 _BLIND_CLOSE = """\
-if w == {i}:
+m{i} = (m{i} >> 1) | (A{i}[j] << top)
+"""
+
+_BLIND_DECODED = """\
+if lone == {i}:
     m{i} &= m{i} - 1
 m{i} = (m{i} >> 1) | (A{i}[j] << top)
 """
 
-# ... and, for a learner, the one-step update on (s, a, r, s'); its reward
-# sees the urgency bit of the mask before the slot closed
-_LEARNER_CLOSE = """\
-m = m{i}
-if w == {i}:
-    o2 = 2
-    m &= m - 1
-else:
-    o2 = o
-r = R{i}[(o2 << 2) | (x{i} << 1) | (m{i} & 1)]
-m{i} = m = (m >> 1) | (A{i}[j] << top)
-ns = {state}
-best = q{i}[ns]
-hi = q{i}[ns + 1]
-if hi > best:
-    best = hi
-{update}
-s{i} = ns
+# a learner's close: the reward cell is (observation << 2) | (physical
+# action << 1) | urgency bit of the mask before the slot closed, and the next
+# state ORs the observation, doubled, into the queue part
+_LEARNER_IDLE = """\
+r{i} = R{i}[m{i} & 1]
+m{i} = (m{i} >> 1) | (A{i}[j] << top)
+s{i} = {state}
 """
 
-_NEXT_STATE = {
-    StateKind.TINY: "((m & 1) << 3) | (o2 << 1)",
-    StateKind.HOL: "((m & -m).bit_length() << 3) | (o2 << 1)",
-    StateKind.FULL: "(m << 3) | (o2 << 1)",
-}
+_LEARNER_DECODED = """\
+if x{i}:
+    r{i} = R{i}[10 | (m{i} & 1)]
+    m{i} = ((m{i} & (m{i} - 1)) >> 1) | (A{i}[j] << top)
+    s{i} = {state} | 4
+else:
+    r{i} = R{i}[4 | (m{i} & 1)]
+    m{i} = (m{i} >> 1) | (A{i}[j] << top)
+    s{i} = {state} | 2
+"""
+
+_LEARNER_COLLIDED = """\
+r{i} = R{i}[12 | (x{i} << 1) | (m{i} & 1)]
+m{i} = (m{i} >> 1) | (A{i}[j] << top)
+s{i} = {state} | 6
+"""
+
+# after the branches, a learner's one-step update on (s, a, r, s'): the
+# greedy value of s', ties to WAIT, then q{i}[k{i}] read once, since
+# v + step * delta is what += computed
+_BEST = """\
+best = q{i}[s{i}]
+if q{i}[s{i} + 1] > best:
+    best = q{i}[s{i} + 1]
+v = q{i}[k{i}]
+"""
 
 _UPDATE = {
-    True: """\
-delta = r + best - q{i}[k{i}] - rho{i}
-q{i}[k{i}] += step * delta
-rho{i} += gain_step * delta""",
-    False: "q{i}[k{i}] += step * (r + discount * best - q{i}[k{i}])",
+    True: _BEST + """\
+delta = r{i} + best - v - rho{i}
+q{i}[k{i}] = v + step * delta
+rho{i} += gain_step * delta
+""",
+    False: _BEST + """\
+q{i}[k{i}] = v + step * (r{i} + discount * best - v)
+""",
+}
+
+# the queue part of a learner's next state, from its new mask
+_NEXT_STATE = {
+    StateKind.TINY: "((m{i} & 1) << 3)",
+    StateKind.HOL: "((m{i} & -m{i}).bit_length() << 3)",
+    StateKind.FULL: "(m{i} << 3)",
 }
 
 # a traced slot appends its facts, from which _slot_records derives the rest:
@@ -449,7 +501,7 @@ def slot_loop(horizon, block, pblock, top, channel_gen, arrival_gens, rates, suc
             n_send = 0
 {act}
 {resolve}
-{close}
+{update}
 {trace}
         delivered_arr[t0:t0 + size] = blk_delivered
         senders_arr[t0:t0 + size] = blk_senders
@@ -483,18 +535,22 @@ def _loop_source(kinds: tuple[str, ...], traced: bool) -> str:
 
     n = len(kinds)
     learners = [i for i, kind in enumerate(kinds) if kind != "blind"]
-    setup, act, close = [], [], []
+    setup, act, update = [], [], []
+    idle, decoded, collided = [], [], []
     for i, kind in enumerate(kinds):
         if kind == "blind":
             setup.append(block(_BLIND_SETUP, 4, i=i))
             act.append(block(_BLIND_ACT, 12, i=i))
-            close.append(block(_BLIND_CLOSE, 12, i=i))
+            closes, state = (_BLIND_CLOSE, _BLIND_DECODED, _BLIND_CLOSE), ""
         else:
             average, state_kind = LEARNER_KINDS[kind]
             setup.append(block(_LEARNER_SETUP, 4, i=i))
             act.append(block(_LEARNER_ACT, 12, i=i))
-            close.append(block(_LEARNER_CLOSE, 12, i=i, state=_NEXT_STATE[state_kind],
-                               update=_UPDATE[average].format(i=i)))
+            update.append(block(_UPDATE[average], 12, i=i))
+            closes = (_LEARNER_IDLE, _LEARNER_DECODED, _LEARNER_COLLIDED)
+            state = _NEXT_STATE[state_kind].format(i=i)
+        for lines, template in zip((idle, decoded, collided), closes):
+            lines.append(block(template, 4, i=i, state=state))
     trace = ""
     if traced:
         trace = block(_TRACE, 12, **{
@@ -507,8 +563,9 @@ def _loop_source(kinds: tuple[str, ...], traced: bool) -> str:
         "arrivals": ", ".join(f"A{i}" for i in range(n)),
         "plans": "\n".join(f"        P{i} = plan(L{i}, size)" for i in learners),
         "act": "\n".join(act),
-        "resolve": block(_RESOLVE, 12),
-        "close": "\n".join(close),
+        "resolve": block(_RESOLVE, 12, idle="\n".join(idle), decoded="\n".join(decoded),
+                         collided="\n".join(collided)),
+        "update": "\n".join(update),
         "trace": trace,
         "finish": "\n".join(f"    L{i}.rho = rho{i}" for i in learners),
     }) + "\n"

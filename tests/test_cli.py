@@ -10,6 +10,7 @@ import pytest
 from dcra import cli, experiments
 from dcra.agents import RewardSpec
 from dcra.cli import build_parser, main
+from dcra.core import write_csv
 from dcra.env import write_trace_csv
 from dcra.mdp import TwoDeviceParams
 from oracles import reference_run
@@ -145,6 +146,35 @@ def test_window_is_checked_before_any_run(capsys, tmp_path, monkeypatch, argv):
     assert rc == 1 and out == ""
     assert err == f"error: window {window} outside [1, 1000]\n"
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--trace-out", "{missing}/t.csv"),
+    ("upper-bound", "--lifetime", "1", "--policy-out", "{missing}/p.csv"),
+    ("upper-bound", "--lifetime", "1", "--export-lp", "{missing}/b.mps"),
+    ("sweep", "--out", "{missing}/s.csv"),
+    ("sweep",),  # the default path, under a missing DCRA_OUTPUT_DIR
+    ("convergence", "--out", "{missing}/c.csv"),
+    ("policy-dump", "--out", "{missing}/p.csv"),
+    ("congestion", "--out", "{missing}/g.csv"),
+    ("congestion", "--out", "{dir}"),
+])
+def test_output_paths_are_checked_before_any_run(capsys, tmp_path, monkeypatch, argv):
+    calls = []
+    monkeypatch.setattr(cli, "run", lambda *a, **k: calls.append("run"))
+    monkeypatch.setattr(cli, "build_mdp", lambda *a, **k: calls.append("build_mdp"))
+    monkeypatch.setattr(experiments, "_run_all", lambda *a, **k: calls.append("_run_all"))
+    missing = tmp_path / "missing"
+    monkeypatch.setenv("DCRA_OUTPUT_DIR", str(missing))
+    argv = [arg.format(missing=missing, dir=tmp_path) for arg in argv]
+    path = argv[-1] if len(argv) > 1 else str(missing / "sweep.csv")
+    with pytest.raises(RuntimeError) as written:
+        write_csv(path, ["x"], [])  # the error a write at the end would raise
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 1 and out == "" and calls == []
+    assert err == f"error: {written.value}\n"
+    assert str(written.value).startswith(f"cannot write {path}: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def _subparsers() -> dict:

@@ -63,7 +63,42 @@ class TestUniformStream:
         stream = UniformStream(seq, block=7)
         reference = np.random.default_rng(np.random.SeedSequence(77)).random(40)
         got = [stream.random() for _ in range(40)]
-        assert np.allclose(got, reference, atol=0)
+        assert got == reference.tolist()
+
+    @pytest.mark.parametrize("block", [1, 3, 8192])
+    def test_readers_take_turns_on_one_sequence(self, block):
+        # random() lists a block on its first read; exploration plans read the
+        # array and move the cursor under that list; a direct reader, like a
+        # blind device in the slot loop, drops the rest of the block, refills
+        # and reads the array at its own cursor
+        seed = 21
+        sequence = np.random.default_rng(seed).random(400_000).tolist()
+        stream = UniformStream(seed, block=block)
+        learner = TabularLearner("r-tiny", 2, stream)
+        learner._epsilon = EPSILON_FLOOR
+        pos = 0  # index in `sequence` of the stream's next uniform
+        sizes = np.random.default_rng(block).integers(1, 300, size=60).tolist()
+        for turn, size in enumerate(sizes):
+            if turn % 3 == 0:
+                assert [stream.random() for _ in range(size)] == sequence[pos:pos + size]
+                pos += size
+            elif turn % 3 == 1:
+                want = []
+                for _ in range(size):
+                    pos += 1
+                    if sequence[pos - 1] < EPSILON_FLOOR:
+                        want.append(1 if sequence[pos] < 0.5 else 0)
+                        pos += 1
+                    else:
+                        want.append(env.GREEDY)
+                assert env._exploration_plan(learner, size) == want
+            else:
+                pos += len(stream._buf) - stream._pos
+                refill = stream._refill()
+                assert refill.tolist() == sequence[pos:pos + block]
+                stream._pos = read = min(size, block)
+                pos += read
+        assert stream.random() == sequence[pos]
 
 
 class TestExplorationPlan:
@@ -433,6 +468,16 @@ def every_kind_mix():
     return ScenarioConfig(lifetime=6, horizon=2 * BLOCK + 7, seed=12, devices=tuple(devices))
 
 
+def every_kind_wins():
+    """One device of each learner kind and a blind device, every one of which
+    wins some slot; in every_kind_mix the q-tiny learner at index 2 and the
+    r-tiny learner at index 8 never do."""
+    devices = [DeviceSetup(DeviceParams(0.3, 0.9), AgentSpec.learner(kind, REWARDS[k % 3]))
+               for k, kind in enumerate(LEARNER_KINDS)]
+    devices.append(blind_device(0.3, 0.9, 0.3))
+    return ScenarioConfig(lifetime=3, horizon=BLOCK + 5, seed=8, devices=tuple(devices))
+
+
 class TestCompiledLoop:
     """The generated slot loop at the shapes the studies run, its compile
     cache, and tracebacks through it."""
@@ -445,6 +490,30 @@ class TestCompiledLoop:
         assert [repr(r) for r in traced.trace] == [repr(r) for r in want.trace]
         TestRunMatchesReference.assert_same_run(traced, want)
         TestRunMatchesReference.assert_same_run(run(config), reference_run(config))
+
+    def test_every_winner_branch_matches_reference(self):
+        self.test_many_devices_match_reference(every_kind_wins)
+
+    @pytest.mark.parametrize("make", [congestion_shape, every_kind_mix, every_kind_wins])
+    def test_reference_layouts_reach_every_branch(self, make):
+        # each device closes its slots in the idle, the decoded (as winner and
+        # as loser) and the collided branch, and in the last both as a sender
+        # and not, so comparing these runs with reference_run checks every
+        # close the loop generates for these kinds
+        config = make()
+        trace = run(config, trace=True).trace
+        assert {rec.feedback for rec in trace} == set(ApFeedback)
+        kinds = [dev.agent.kind for dev in config.devices]
+        winners = {rec.winner for rec in trace} - {None}
+        if make is every_kind_mix:
+            assert {kinds[i] for i in winners} == set(kinds) == {"blind", *LEARNER_KINDS}
+            assert set(range(len(kinds))) - winners == {2, 8}
+        else:
+            assert winners == set(range(len(kinds)))
+        for i in range(len(kinds)):
+            assert any(rec.winner is not None and rec.winner != i for rec in trace)
+            collided = [rec.sent[i] for rec in trace if rec.feedback is ApFeedback.NACK]
+            assert any(collided) and not all(collided), i
 
     def test_layout_compiles_once(self, monkeypatch):
         def config(lifetime, seed, arrival, transmit):
@@ -500,12 +569,12 @@ class TestCompiledLoop:
         frames = [f for f in traceback.extract_tb(info.tb)
                   if f.filename == "<dcra slot loop b>"]
         assert len(frames) == 1 and frames[0].name == "slot_loop"
-        assert frames[0].line == "b0 = st0._refill()"
+        assert frames[0].line == "b0 = (st0._refill() < pr0).tolist()"
         source = env._loop_source(("blind",), False).splitlines()
         assert source[frames[0].lineno - 1].strip() == frames[0].line
         text = "".join(traceback.format_exception(info.value))
         assert f'File "<dcra slot loop b>", line {frames[0].lineno}, in slot_loop' in text
-        assert "b0 = st0._refill()" in text
+        assert "b0 = (st0._refill() < pr0).tolist()" in text
 
 
 class TestRunProperties:

@@ -225,8 +225,8 @@ def _check_writable(*paths: str | None) -> None:
             code = errno.EISDIR
         elif not os.path.isdir(parent):
             code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
-        elif not os.access(parent, os.W_OK | os.X_OK) or (
-                os.path.exists(path) and not os.access(path, os.W_OK)):
+        elif not (os.access(path, os.W_OK) if os.path.exists(path)
+                  else os.access(parent, os.W_OK | os.X_OK)):
             code = errno.EACCES
         else:
             continue

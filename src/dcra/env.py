@@ -31,9 +31,10 @@ GREEDY for every slot, with the consumption select() would have.  The plan
 reads the array and lists only the draws below the exploration floor, so a
 learner's stream is never turned into Python floats.
 
-A traced loop records only the facts of each slot (who sent, the winner,
-the observation, arrivals, backlogs); the SlotRecords, their expiries and
-running totals are derived from them after the loop.
+A traced loop records only three facts of each slot: who sent, the
+arrivals and the backlogs.  The SlotRecords (feedback, winner,
+observations, expiries, running totals) are derived after the loop from
+them and the run's deliveries.
 """
 
 from __future__ import annotations
@@ -342,13 +343,13 @@ def _exploration_plan(learner: TabularLearner, n: int) -> list[int]:
 # front and refills when its cursor reaches pblock.
 #
 # Once every device has acted, the slot takes one of three branches, idle,
-# decoded or collided, and every device closes the slot inside it: delivery,
-# expiry, shift and arrivals, and for a learner its reward and next state,
-# whose observation is a constant there.  A learner's update reads no
+# decoded or collided, and _close writes every device's close inside each:
+# delivery, expiry, shift and arrivals, and for a learner its reward and next
+# state, with the branch's observation a constant.  In the decoded branch the
+# winner (lone == i for a blind device, x{i} for a learner) closes as
+# SUCCESSFUL and every other device as BUSY.  A learner's update reads no
 # outcome, so it follows the branches once instead of being written into
-# each.  o, what every device but the winner observes (IDLE, BUSY after a
-# decoded slot, FAILED after a NACK), and w, the winner or -1, are kept only
-# for the trace.
+# each.
 
 _BLIND_SETUP = """\
 m{i} = 0
@@ -395,59 +396,40 @@ else:
 # only the lone sender of a decoded slot can be its winner
 _RESOLVE = """\
 if n_send == 0:
-    o = 0  #T
-    w = -1  #T
 {idle}
 elif n_send == 1 and chan[j] < success[lone]:
-    o = 1  #T
-    w = lone  #T
     blk_delivered[j] = 1
     blk_senders[j] = 1
 {decoded}
 else:
-    o = 3  #T
-    w = -1  #T
     blk_senders[j] = n_send
 {collided}
 """
 
-# a blind device's close in the idle and collided branches, and in the
-# decoded one
-_BLIND_CLOSE = """\
-m{i} = (m{i} >> 1) | (A{i}[j] << top)
-"""
 
-_BLIND_DECODED = """\
-if lone == {i}:
-    m{i} &= m{i} - 1
-m{i} = (m{i} >> 1) | (A{i}[j] << top)
-"""
+def _close(i: int, state: str | None, obs: ChannelObservation) -> str:
+    """Device i's close of a slot after which it observes obs.
 
-# a learner's close: the reward cell is (observation << 2) | (physical
-# action << 1) | urgency bit of the mask before the slot closed, and the next
-# state ORs the observation, doubled, into the queue part
-_LEARNER_IDLE = """\
-r{i} = R{i}[m{i} & 1]
-m{i} = (m{i} >> 1) | (A{i}[j] << top)
-s{i} = {state}
-"""
+    The winner (SUCCESSFUL) drops its delivered packet, the mask's lowest
+    bit; then every mask shifts and takes in the arrival.  A learner, whose
+    state is the queue part of its next state (None for a blind device),
+    first scores reward_table's cell 4*obs | 2*sent | urgent, urgent being
+    the mask's low bit before the close, and then moves to state | 2*obs.
+    sent is 1 after SUCCESSFUL, 0 after IDLE or BUSY and x{i} after FAILED.
+    """
+    won = obs is ChannelObservation.SUCCESSFUL
+    mask = f"(m{i} & (m{i} - 1))" if won else f"m{i}"
+    close = f"m{i} = ({mask} >> 1) | (A{i}[j] << top)"
+    if state is None:
+        return close
+    # the constant terms summed, zero ones left out
+    cell = [str(4 * obs + 2 * won)] if obs else []
+    if obs is ChannelObservation.FAILED:
+        cell.append(f"(x{i} << 1)")
+    cell.append(f"(m{i} & 1)")
+    next_state = f"{state} | {2 * obs}" if obs else state
+    return f"r{i} = R{i}[{' | '.join(cell)}]\n{close}\ns{i} = {next_state}"
 
-_LEARNER_DECODED = """\
-if x{i}:
-    r{i} = R{i}[10 | (m{i} & 1)]
-    m{i} = ((m{i} & (m{i} - 1)) >> 1) | (A{i}[j] << top)
-    s{i} = {state} | 4
-else:
-    r{i} = R{i}[4 | (m{i} & 1)]
-    m{i} = (m{i} >> 1) | (A{i}[j] << top)
-    s{i} = {state} | 2
-"""
-
-_LEARNER_COLLIDED = """\
-r{i} = R{i}[12 | (x{i} << 1) | (m{i} & 1)]
-m{i} = (m{i} >> 1) | (A{i}[j] << top)
-s{i} = {state} | 6
-"""
 
 # after the branches, a learner's one-step update on (s, a, r, s'): the
 # greedy value of s', ties to WAIT, then q{i}[k{i}] read once, since
@@ -478,9 +460,9 @@ _NEXT_STATE = {
 }
 
 # a traced slot appends its facts, from which _slot_records derives the rest:
-# who sent, the winner, what the others observe, arrivals and backlog after
+# who sent, arrivals and backlog after
 _TRACE = """\
-records.append((({sent},), w, o, ({arr},), ({backlog},)))
+records.append((({sent},), ({arr},), ({backlog},)))
 """
 
 _LOOP = """\
@@ -535,22 +517,24 @@ def _loop_source(kinds: tuple[str, ...], traced: bool) -> str:
 
     n = len(kinds)
     learners = [i for i, kind in enumerate(kinds) if kind != "blind"]
+    IDLE, BUSY, SUCCESSFUL, FAILED = ChannelObservation
     setup, act, update = [], [], []
     idle, decoded, collided = [], [], []
     for i, kind in enumerate(kinds):
         if kind == "blind":
             setup.append(block(_BLIND_SETUP, 4, i=i))
             act.append(block(_BLIND_ACT, 12, i=i))
-            closes, state = (_BLIND_CLOSE, _BLIND_DECODED, _BLIND_CLOSE), ""
+            state, winner = None, f"lone == {i}"
         else:
             average, state_kind = LEARNER_KINDS[kind]
             setup.append(block(_LEARNER_SETUP, 4, i=i))
             act.append(block(_LEARNER_ACT, 12, i=i))
             update.append(block(_UPDATE[average], 12, i=i))
-            closes = (_LEARNER_IDLE, _LEARNER_DECODED, _LEARNER_COLLIDED)
-            state = _NEXT_STATE[state_kind].format(i=i)
-        for lines, template in zip((idle, decoded, collided), closes):
-            lines.append(block(template, 4, i=i, state=state))
+            state, winner = _NEXT_STATE[state_kind].format(i=i), f"x{i}"
+        won, lost = (block(_close(i, state, obs), 4) for obs in (SUCCESSFUL, BUSY))
+        idle.append(block(_close(i, state, IDLE), 4))
+        decoded.append(block(f"if {winner}:\n{won}\nelse:\n{lost}", 4))
+        collided.append(block(_close(i, state, FAILED), 4))
     trace = ""
     if traced:
         trace = block(_TRACE, 12, **{
@@ -586,25 +570,33 @@ def _compiled_loop(kinds: tuple[str, ...], traced: bool):
     return namespace["slot_loop"]
 
 
-def _slot_records(rows: list, n: int) -> list[SlotRecord]:
-    """Replace the traced loop's rows (sent, w, o, arrivals, backlog) by their
-    SlotRecords, in place, so that a row is freed as its record is made."""
-    feedbacks = (ApFeedback.NOTHING, ApFeedback.ACK, None, ApFeedback.NACK)
+def _slot_records(rows: list, delivered: list[int], n: int) -> list[SlotRecord]:
+    """Replace the traced loop's rows (sent, arrivals, backlog) by their
+    SlotRecords, in place, so that a row is freed as its record is made.
+    A slot that delivered is an ACK to its one sender; any other is a NACK
+    if someone sent, else silence.  Observations are recorded as ints."""
+    IDLE, BUSY, SUCCESSFUL, FAILED = (o.value for o in ChannelObservation)
+    NOTHING, ACK, NACK = ApFeedback
     before = (0,) * n
     deliveries_cum = transmissions_cum = 0
-    for k, (sent, w, o, arrivals, backlog) in enumerate(rows):
-        transmissions_cum += sum(sent)
-        observations = [o] * n
+    for k, ((sent, arrivals, backlog), hit) in enumerate(zip(rows, delivered)):
+        senders = sum(sent)
+        transmissions_cum += senders
         # expiries follow from conservation: backlog before, plus arrivals,
         # minus the delivery, minus backlog after
         expired = list(map(sub, map(add, before, arrivals), backlog))
-        if w >= 0:
+        if hit:
+            winner, feedback = sent.index(True), ACK
             deliveries_cum += 1
-            observations[w] = ChannelObservation.SUCCESSFUL.value
-            expired[w] -= 1
-        rows[k] = SlotRecord(k + 1, sent, feedbacks[o], w if w >= 0 else None,
-                             tuple(observations), arrivals, tuple(expired), backlog,
-                             deliveries_cum, transmissions_cum)
+            expired[winner] -= 1
+            observations = [BUSY] * n
+            observations[winner] = SUCCESSFUL
+        else:
+            winner = None
+            feedback, seen = (NACK, FAILED) if senders else (NOTHING, IDLE)
+            observations = [seen] * n
+        rows[k] = SlotRecord(k + 1, sent, feedback, winner, tuple(observations), arrivals,
+                             tuple(expired), backlog, deliveries_cum, transmissions_cum)
         before = backlog
     return rows
 
@@ -669,7 +661,7 @@ def run(config: ScenarioConfig, trace: bool = False) -> RunResult:
         config=config,
         metrics=Metrics(delivered=delivered_arr, senders=senders_arr),
         learners=tuple(learners),
-        trace=None if records is None else _slot_records(records, n),
+        trace=None if records is None else _slot_records(records, delivered_arr.tolist(), n),
     )
 
 

@@ -259,7 +259,8 @@ def write_mps(program: LpProgram, path: str, name: str = "DCRALP") -> None:
     """Export the program in fixed-field MPS.
 
     MPS readers minimise by default, so the objective row carries the negated
-    coefficients; a comment line records the convention.
+    coefficients; a comment line records the convention.  An OSError
+    surfaces as RuntimeError("cannot write <path>: ..."), as in write_csv.
     """
     A, b, c = program.constraints, program.rhs, program.objective
     m, n = A.shape
@@ -284,5 +285,8 @@ def write_mps(program: LpProgram, path: str, name: str = "DCRALP") -> None:
     for i in np.flatnonzero(b):
         lines.append(f"    {'RHS':<8}  {rownames[i]:<8}  {b[i]:.12E}")
     lines.append("ENDATA")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise RuntimeError(f"cannot write {path}: {exc}") from exc

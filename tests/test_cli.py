@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import os
 import re
 
 import pytest
@@ -492,6 +493,14 @@ def test_write_failure_is_one_cannot_write_line(capsys, tmp_path, argv):
     assert err.startswith(f"error: cannot write {path}: [Errno 2] ")
     assert err.count("\n") == 1
     assert not path.parent.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_export_lp_write_failure_names_its_path(capsys):
+    # /dev/full passes the check before the run; only the write itself fails
+    rc, _, err = run_cli(capsys, "upper-bound", "--lifetime", "1", "--export-lp", "/dev/full")
+    assert rc == 1
+    assert err == "error: cannot write /dev/full: [Errno 28] No space left on device\n"
 
 
 def test_congestion_has_no_transmit_range(capsys, tmp_path):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from dcra.core import Action, ChannelObservation, write_csv
+from dcra.core import Action, ChannelObservation, check_probability, write_csv
 
 __all__ = [
     "LEARNER_KINDS",
@@ -96,8 +96,7 @@ class RewardSpec:
 
     def __post_init__(self) -> None:
         if self.kind is RewardKind.TWO_LEVEL:
-            if not 0.0 <= self.shift <= 1.0:
-                raise ValueError(f"shift {self.shift} outside [0, 1]")
+            check_probability("shift", self.shift)
         elif self.shift:
             raise ValueError(f"shift only applies to {RewardKind.TWO_LEVEL}")
 

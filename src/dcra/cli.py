@@ -29,7 +29,8 @@ from .simplex import write_mps
 
 __all__ = ["main"]
 
-AGENT_KINDS = ("blind",) + tuple(sorted(LEARNER_KINDS))
+LEARNER_CHOICES = tuple(sorted(LEARNER_KINDS))
+AGENT_KINDS = ("blind",) + LEARNER_CHOICES
 
 # states n = (2^D)^2 * 4 grow fast: the --export-lp program is a dense
 # (2n, 4n) float matrix, 1.07 GB at D=5, and build_mdp's (2, n/4, n) pair
@@ -95,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy-out", metavar="FILE",
                    help="write the bound-achieving policy as CSV")
     p.add_argument("--export-lp", metavar="FILE",
-                   help="write the LP in fixed-field MPS format and stop")
+                   help="write the LP in fixed-field MPS format")
     p.add_argument("--allow-large", action=argparse.BooleanOptionalAction, default=False,
                    help=f"permit lifetimes above {MAX_CASUAL_LIFETIME}")
 
@@ -117,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pair_params(p)
     p.add_argument("--lifetimes", nargs="+", type=int, default=[10, 20, 30],
                    help="lifetimes to run")
-    p.add_argument("--agent", choices=AGENT_KINDS, default="r-tiny", help="agent kind")
+    p.add_argument("--agent", choices=LEARNER_CHOICES, default="r-tiny", help="learner kind")
     p.add_argument("--slots", type=int, default=200_000, help="horizon")
     p.add_argument("--window", type=int, default=2_000, help="series window")
 
@@ -126,8 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pair_params(p)
     p.add_argument("--lifetime", type=int, default=2, help="packet lifetime in slots")
     p.add_argument("--slots", type=int, default=200_000, help="horizon")
-    p.add_argument("--agent", choices=tuple(sorted(LEARNER_KINDS)), default="r-tiny",
-                   help="learner kind")
+    p.add_argument("--agent", choices=LEARNER_CHOICES, default="r-tiny", help="learner kind")
     p.add_argument("--reward", default="two-level", help="learner reward spec")
 
     p = sub.add_parser("congestion", help="saturated-peer study over agent counts")
@@ -137,8 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--agent-counts", nargs="+", type=int, default=[10],
                    help="newcomer counts to try")
     p.add_argument("--lifetime", type=int, default=10, help="packet lifetime in slots")
-    p.add_argument("--agent", choices=tuple(sorted(LEARNER_KINDS)), default="r-tiny",
-                   help="learner kind")
+    p.add_argument("--agent", choices=LEARNER_CHOICES, default="r-tiny", help="learner kind")
     p.add_argument("--slots", type=int, default=200_000, help="horizon per run")
     p.add_argument("--window", type=int, default=50_000, help="evaluation window")
 
@@ -283,13 +282,11 @@ def _cmd_upper_bound(opts: dict) -> int:
         )
     _check_writable(opts["export_lp"], opts["policy_out"])
     model = build_mdp(_pair_params(opts), lifetime)
-    if opts["export_lp"]:
-        write_mps(bound_program(model), opts["export_lp"],
-                  name=f"DCRA-D{lifetime}")
-        print(f"wrote {opts['export_lp']}")
-        return 0
     bound = upper_bound(model)
     print(f"bound={bound.value!r}")
+    if opts["export_lp"]:
+        write_mps(bound_program(model), opts["export_lp"], name=f"DCRA-D{lifetime}")
+        print(f"wrote {opts['export_lp']}")
     if opts["policy_out"]:
         _write_bound_policy(bound, opts["policy_out"])
         print(f"wrote {opts['policy_out']}")

@@ -5,7 +5,8 @@ the queue during slot t can be transmitted in slots t .. t+D-1 and is dropped
 at the end of slot t+D-1 if it was never delivered.  Queues therefore track
 packets by remaining lead time instead of arrival order.
 
-write_csv writes every CSV file of the package, floats as repr.
+check_probability is the one rule for every probability the package takes,
+and write_csv writes every CSV file of the package, floats as repr.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ __all__ = [
     "ChannelObservation",
     "DeviceParams",
     "LeadTimeQueue",
+    "check_probability",
     "write_csv",
 ]
 
@@ -56,6 +58,12 @@ class ApFeedback(enum.IntEnum):
     NACK = 2
 
 
+def check_probability(name: str, value: float) -> None:
+    """Raise ValueError naming `name` unless `value` lies in [0, 1]; NaN does not."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} {value!r} outside [0, 1]")
+
+
 @dataclass(frozen=True)
 class DeviceParams:
     """Traffic and channel parameters of one device.
@@ -64,22 +72,20 @@ class DeviceParams:
     one arrives per slot (Bernoulli traffic).  success_prob is the
     probability that a transmission is decoded when this device is the only
     sender in the slot; two or more simultaneous senders are never decoded.
-    transmit_prob is only meaningful for devices running the blind
-    retransmission policy (transmit the head-of-line packet with fixed
-    probability whenever the queue is non-empty).
+    A blind device's transmit probability belongs in AgentSpec.blind(p);
+    transmit_prob here is its older home, read only when the AgentSpec has none.
     """
 
     arrival_rate: float
     success_prob: float
+    # kept only while benchmarks/calibrate.py still sets it
     transmit_prob: float | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.arrival_rate <= 1.0:
-            raise ValueError(f"arrival rate {self.arrival_rate} outside [0, 1]")
-        if not 0.0 <= self.success_prob <= 1.0:
-            raise ValueError(f"success_prob {self.success_prob} outside [0, 1]")
-        if self.transmit_prob is not None and not 0.0 <= self.transmit_prob <= 1.0:
-            raise ValueError(f"transmit_prob {self.transmit_prob} outside [0, 1]")
+        check_probability("arrival_rate", self.arrival_rate)
+        check_probability("success_prob", self.success_prob)
+        if self.transmit_prob is not None:
+            check_probability("transmit_prob", self.transmit_prob)
 
 
 @dataclass

@@ -60,7 +60,9 @@ from dcra.agents import (
     reward_table,
     state_space_size,
 )
-from dcra.core import Action, ApFeedback, ChannelObservation, DeviceParams, write_csv
+from dcra.core import (
+    Action, ApFeedback, ChannelObservation, DeviceParams, check_probability, write_csv,
+)
 
 __all__ = [
     "AgentSpec",
@@ -141,8 +143,7 @@ class AgentSpec:
         if self.transmit_prob is not None:
             if self.kind != "blind":
                 raise ValueError("transmit_prob only applies to blind agents")
-            if not 0.0 <= self.transmit_prob <= 1.0:
-                raise ValueError(f"transmit_prob {self.transmit_prob} outside [0, 1]")
+            check_probability("transmit_prob", self.transmit_prob)
         if self.kind == "blind" and self.reward != RewardSpec():
             raise ValueError("reward only applies to learner agents")
 

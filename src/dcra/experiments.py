@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from typing import TypeVar
 
@@ -47,14 +47,7 @@ __all__ = [
 ]
 
 PARAM_COLUMNS = [
-    "peer_arrival",
-    "agent_arrival",
-    "peer_success",
-    "agent_success",
-    "peer_transmit",
-    "lifetime",
-    "peer_count",
-    "agent_count",
+    *(f.name for f in fields(TwoDeviceParams)), "lifetime", "peer_count", "agent_count",
 ]
 
 OUTPUT_DIR_ENV = "DCRA_OUTPUT_DIR"
@@ -174,6 +167,20 @@ def _collect(configs: list[ScenarioConfig], results: Iterable[T]) -> list[T]:
     return out
 
 
+def _scenario(
+    peer: DeviceSetup,
+    peer_count: int,
+    newcomers: list[DeviceParams],
+    spec: AgentSpec,
+    lifetime: int,
+    slots: int,
+    seed,
+) -> ScenarioConfig:
+    """`peer_count` copies of `peer`, then one device under `spec` per newcomer."""
+    devices = (peer,) * peer_count + tuple(DeviceSetup(p, spec) for p in newcomers)
+    return ScenarioConfig(lifetime=lifetime, horizon=slots, seed=seed, devices=devices)
+
+
 def two_device_config(
     params: TwoDeviceParams,
     lifetime: int,
@@ -188,21 +195,11 @@ def two_device_config(
     `agent_transmit` applies only to a blind agent and `reward` only to a
     learner; AgentSpec rejects either on the other kind.
     """
-    peer = DeviceSetup(
-        DeviceParams(
-            params.peer_arrival,
-            params.peer_success,
-            transmit_prob=params.peer_transmit,
-        ),
-        AgentSpec("blind"),
-    )
-    tracked = DeviceSetup(
-        DeviceParams(params.agent_arrival, params.agent_success),
-        AgentSpec(agent, agent_transmit, reward),
-    )
-    return ScenarioConfig(
-        lifetime=lifetime, horizon=slots, seed=seed, devices=(peer, tracked)
-    )
+    peer = DeviceSetup(DeviceParams(params.peer_arrival, params.peer_success),
+                       AgentSpec.blind(params.peer_transmit))
+    tracked = DeviceParams(params.agent_arrival, params.agent_success)
+    return _scenario(peer, 1, [tracked], AgentSpec(agent, agent_transmit, reward),
+                     lifetime, slots, seed)
 
 
 def simulate_two_device(
@@ -343,29 +340,6 @@ def run_convergence(
     return SweepResult(header, rows)
 
 
-def _multi_device_config(
-    peer_count: int,
-    agent_params: list[tuple[float, float]],
-    spec: AgentSpec,
-    lifetime: int,
-    slots: int,
-    seed,
-    peer_transmit: float,
-) -> ScenarioConfig:
-    """`peer_count` saturated blind peers, then one device under `spec` per
-    (arrival, success) pair."""
-    peer = DeviceSetup(
-        DeviceParams(PEER_ARRIVAL, PEER_SUCCESS, transmit_prob=peer_transmit),
-        AgentSpec("blind"),
-    )
-    newcomers = tuple(
-        DeviceSetup(DeviceParams(arrival, success), spec) for arrival, success in agent_params
-    )
-    return ScenarioConfig(
-        lifetime=lifetime, horizon=slots, seed=seed, devices=(peer,) * peer_count + newcomers
-    )
-
-
 def run_congestion(
     peer_count: int,
     agent_counts: tuple[int, ...],
@@ -405,31 +379,32 @@ def run_congestion(
         "power_blind",
     ]
     counts = (0,) + tuple(c for c in agent_counts if c)
+    peer = DeviceSetup(DeviceParams(PEER_ARRIVAL, PEER_SUCCESS), AgentSpec.blind(peer_transmit))
     learner = AgentSpec(agent, reward=RewardSpec.multi_level())
     configs = []  # one run for count 0, then learners and blind control
-    drawn = []  # per count: the agents' (arrival, success) pairs
+    drawn = []  # per count: the newcomers' parameters
     for count in counts:
         rng = np.random.default_rng(np.random.SeedSequence((seed, count)))
-        agent_params = [
-            (ranges._draw(rng, "arrival"), ranges._draw(rng, "success"))
+        newcomers = [
+            DeviceParams(ranges._draw(rng, "arrival"), ranges._draw(rng, "success"))
             for _ in range(count)
         ]
-        drawn.append(agent_params)
+        drawn.append(newcomers)
         # both arms share the parameter draws and the scenario seed
         arms = (learner, AgentSpec.blind(1.0 / count)) if count else (learner,)
         for spec in arms:
-            configs.append(_multi_device_config(
-                peer_count, agent_params, spec, lifetime, slots, (seed, count), peer_transmit,
+            configs.append(_scenario(
+                peer, peer_count, newcomers, spec, lifetime, slots, (seed, count)
             ))
     stats = iter(_run_all(partial(_window_stats, window=window), configs))
     rows = []
-    for count, agent_params in zip(counts, drawn):
+    for count, newcomers in zip(counts, drawn):
         base = [PEER_ARRIVAL, "", PEER_SUCCESS, "", peer_transmit, lifetime, peer_count, count]
         learners = next(stats)
         control = next(stats) if count else learners
         rows.append(base + [
-            ";".join(repr(a) for a, _ in agent_params),
-            ";".join(repr(s) for _, s in agent_params),
+            ";".join(repr(d.arrival_rate) for d in newcomers),
+            ";".join(repr(d.success_prob) for d in newcomers),
             *learners,
             *control,
         ])

@@ -21,12 +21,12 @@ external solvers and as an independent check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
-from .core import ChannelObservation
+from .core import ChannelObservation, check_probability
 # solve_lp stays importable as mdp.solve_lp for tools that wrap it by name
 from .simplex import LpProgram, solve_lp  # noqa: F401
 
@@ -55,7 +55,8 @@ class TwoDeviceParams:
     """Probabilities of the canonical two-device scenario.
 
     Field order follows the conventional tuple
-    (peer arrival, agent arrival, peer success, agent success, peer transmit).
+    (peer arrival, agent arrival, peer success, agent success, peer transmit),
+    and so do as_tuple and the CSV parameter columns.
     """
 
     peer_arrival: float
@@ -65,25 +66,11 @@ class TwoDeviceParams:
     peer_transmit: float
 
     def __post_init__(self) -> None:
-        for name in (
-            "peer_arrival",
-            "agent_arrival",
-            "peer_success",
-            "agent_success",
-            "peer_transmit",
-        ):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} = {v} outside [0, 1]")
+        for f in fields(self):
+            check_probability(f.name, getattr(self, f.name))
 
     def as_tuple(self) -> tuple[float, float, float, float, float]:
-        return (
-            self.peer_arrival,
-            self.agent_arrival,
-            self.peer_success,
-            self.agent_success,
-            self.peer_transmit,
-        )
+        return astuple(self)
 
 
 class TwoDeviceModel:
@@ -313,8 +300,7 @@ def constant_policy_throughput(params: TwoDeviceParams, transmit_prob: float) ->
     packet, the peer sends with its own fixed probability, and a delivery
     needs a lone sender that the channel then decodes.
     """
-    if not 0.0 <= transmit_prob <= 1.0:
-        raise ValueError(f"transmit_prob {transmit_prob} outside [0, 1]")
+    check_probability("transmit_prob", transmit_prob)
     p = params
     peer_sends = p.peer_transmit * p.peer_arrival
     agent_sends = transmit_prob * p.agent_arrival

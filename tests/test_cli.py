@@ -199,6 +199,36 @@ def test_help_shows_what_each_command_runs_with(capsys, command):
         assert f"(default: {values[action.dest]})" in text[start:end], action.dest
 
 
+# a tiny run of each command that takes an agent kind, the kind going last
+TINY_AGENT_RUNS = {
+    "simulate": ("--lifetime", "1", "--slots", "100", "--agent"),
+    "sweep": ("--groups", "1", "--lifetimes", "1", "--slots", "100", "--window", "50",
+              "--agents"),
+    "convergence": ("--lifetimes", "1", "--slots", "100", "--window", "50", "--agent"),
+    "policy-dump": ("--lifetime", "1", "--slots", "100", "--agent"),
+    "congestion": ("--agent-counts", "1", "--lifetime", "1", "--slots", "100", "--window",
+                   "50", "--agent"),
+}
+
+
+def _agent_choices() -> list[tuple[str, str]]:
+    return [(command, kind) for command, sub in sorted(_subparsers().items())
+            for action in sub._actions if action.dest in ("agent", "agents")
+            for kind in action.choices]
+
+
+@pytest.mark.parametrize("command, kind", _agent_choices())
+def test_every_agent_choice_runs(capsys, tmp_path, monkeypatch, command, kind):
+    monkeypatch.setattr(experiments, "_cpu_count", lambda: 1)
+    argv = [command, *TINY_AGENT_RUNS[command], kind]
+    if command == "simulate":
+        argv += ["--agent-transmit", "0.3"] if kind == "blind" else []
+    else:
+        argv += ["--out", str(tmp_path / "out.csv")]
+    rc, _, err = run_cli(capsys, *argv)
+    assert rc == 0 and err == ""
+
+
 def test_upper_bound_rejects_large_lifetime(capsys):
     rc, out, err = run_cli(capsys, "upper-bound", "--lifetime", "5")
     assert rc == 1
@@ -255,6 +285,18 @@ def test_upper_bound_outputs_are_pinned(capsys, tmp_path, lifetime):
     rc, _, _ = run_cli(capsys, "upper-bound", "--lifetime", str(lifetime),
                        "--policy-out", str(policy))
     assert rc == 0
+    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (mps, policy))
+    assert digests == BOUND_GOLDEN[lifetime]
+
+
+@pytest.mark.parametrize("lifetime", sorted(BOUND_GOLDEN))
+def test_upper_bound_writes_every_output_asked_for(capsys, tmp_path, lifetime):
+    mps, policy = tmp_path / "bound.mps", tmp_path / "policy.csv"
+    rc, out, err = run_cli(capsys, "upper-bound", "--lifetime", str(lifetime),
+                           "--export-lp", str(mps), "--policy-out", str(policy))
+    assert rc == 0 and err == ""
+    bound, *wrote = out.splitlines()
+    assert bound.startswith("bound=") and wrote == [f"wrote {mps}", f"wrote {policy}"]
     digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (mps, policy))
     assert digests == BOUND_GOLDEN[lifetime]
 

@@ -1,11 +1,41 @@
 """Queue bookkeeping: hand-traced slot advances plus conservation properties;
-the CSV writer."""
+the probability rule; the CSV writer."""
+
+import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from dcra.agents import RewardSpec
 from dcra.core import DeviceParams, LeadTimeQueue, write_csv
+from dcra.env import AgentSpec
+from dcra.mdp import TwoDeviceParams, constant_policy_throughput
 from oracles import draw_arrivals
+
+POINT = TwoDeviceParams(0.5, 0.4, 0.7, 0.6, 0.4)
+
+# (field name, a constructor that takes that field's value): every
+# probability the package checks, each by the one rule in core
+PROBABILITIES = [
+    ("arrival_rate", lambda v: DeviceParams(v, 0.5)),
+    ("success_prob", lambda v: DeviceParams(0.5, v)),
+    ("transmit_prob", lambda v: DeviceParams(0.5, 0.5, transmit_prob=v)),
+    *[(f.name, lambda v, name=f.name: replace(POINT, **{name: v}))
+      for f in fields(TwoDeviceParams)],
+    ("transmit_prob", AgentSpec.blind),
+    ("transmit_prob", lambda v: constant_policy_throughput(POINT, v)),
+    ("shift", RewardSpec.two_level),
+]
+
+
+@pytest.mark.parametrize("value", [-0.1, 1.1, float("nan")])
+@pytest.mark.parametrize("name, build", PROBABILITIES)
+def test_every_probability_obeys_one_rule(name, build, value):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{name} {value!r} outside [0, 1]')}$"):
+        build(value)
+    build(0.0)
+    build(1.0)
 
 
 class TestAdvance:

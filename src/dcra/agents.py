@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import accumulate, repeat, takewhile
+from operator import mul
 
 from dcra.core import Action, ChannelObservation, check_probability, write_csv
 
@@ -72,6 +74,10 @@ GAIN_STEP_SIZE = 0.01
 DISCOUNT = 0.9
 EPSILON_DECAY = 0.995
 EPSILON_FLOOR = 0.01
+# epsilon after each number of steps while it decays, each value the one
+# before times EPSILON_DECAY; from len(EPSILONS) steps on it is EPSILON_FLOOR
+EPSILONS = tuple(takewhile(lambda eps: eps >= EPSILON_FLOOR,
+                           accumulate(repeat(EPSILON_DECAY), mul, initial=1.0)))
 
 
 class RewardKind(enum.Enum):
@@ -166,16 +172,16 @@ class TabularLearner:
     The action-value table starts at zero and lives in a flat list indexed by
     2*state + action with WAIT at offset 0, which also fixes the tie-break:
     equal values resolve to WAIT.  One instance owns one exploration stream;
-    step counting never resets, so epsilon keeps decaying across the whole
-    life of the learner.
+    step counting never resets, so epsilon, read from EPSILONS by step,
+    keeps decaying across the whole life of the learner.
 
     env.run performs the same steps without calling either method: its
     exploration plan makes select()'s draws a block at a time and advances
-    steps and the epsilon state, and its generated slot loop makes the greedy
-    comparison and the update inline on `q` and writes rho back.  A change to
-    either method must be mirrored in env._exploration_plan and in the
-    templates env generates the loop from (tests/oracles.py::reference_run
-    checks the two agree).
+    steps, and its generated slot loop makes the greedy comparison and the
+    update inline on `q` and writes rho back.  A change to either method
+    must be mirrored in env._exploration_plan and in the templates env
+    generates the loop from (tests/oracles.py::reference_run checks the two
+    agree).
     """
 
     def __init__(self, kind: str, lifetime: int, rng) -> None:
@@ -188,20 +194,15 @@ class TabularLearner:
         self.rho = 0.0
         self.steps = 0
         self.rng = rng
-        self._epsilon = 1.0  # decay^steps, floored lazily
 
     def epsilon(self) -> float:
         """Exploration rate that the next select() call will use."""
-        return max(self._epsilon, EPSILON_FLOOR)
+        return EPSILONS[self.steps] if self.steps < len(EPSILONS) else EPSILON_FLOOR
 
     def select(self, state: int) -> int:
         """Epsilon-greedy action; exploration draws uniformly over both."""
+        eps = self.epsilon()
         self.steps += 1
-        eps = self._epsilon
-        if eps < EPSILON_FLOOR:
-            eps = EPSILON_FLOOR
-        else:
-            self._epsilon *= EPSILON_DECAY
         rng = self.rng
         if rng.random() < eps:
             return Action.TRANSMIT if rng.random() < 0.5 else Action.WAIT

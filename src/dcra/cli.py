@@ -7,8 +7,10 @@ against their flags, converted by each flag's type and installed as the
 subcommand's defaults, so the precedence is built-in defaults < config file <
 explicit flags.  Output paths default into the directory named by
 DCRA_OUTPUT_DIR (falling back to the working directory), and each is checked
-for writing before any model is built or any slot runs.  The process exits 0
-on success and nonzero after printing one diagnostic line to stderr.
+for writing before any model is built or any slot runs.  A bound that needs
+an array over mdp.MAX_ARRAY_BYTES (1 GiB) fails before that array is made,
+and before any solve or slot.  The process exits 0 on success and nonzero
+after printing one diagnostic line to stderr.
 """
 
 from __future__ import annotations
@@ -31,11 +33,6 @@ __all__ = ["main"]
 
 LEARNER_CHOICES = tuple(sorted(LEARNER_KINDS))
 AGENT_KINDS = ("blind",) + LEARNER_CHOICES
-
-# states n = (2^D)^2 * 4 grow fast: the --export-lp program is a dense
-# (2n, 4n) float matrix, 1.07 GB at D=5, and build_mdp's (2, n/4, n) pair
-# kernel reaches 1.07 GB at D=6, so anything above this asks for explicit consent
-MAX_CASUAL_LIFETIME = 4
 
 
 def _add_common(parser: argparse.ArgumentParser, seed: int | None = 0) -> None:
@@ -97,8 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the bound-achieving policy as CSV")
     p.add_argument("--export-lp", metavar="FILE",
                    help="write the LP in fixed-field MPS format")
-    p.add_argument("--allow-large", action=argparse.BooleanOptionalAction, default=False,
-                   help=f"permit lifetimes above {MAX_CASUAL_LIFETIME}")
 
     p = sub.add_parser("sweep", help="random-group comparison across agents")
     _add_common(p)
@@ -274,18 +269,13 @@ def _cmd_simulate(opts: dict) -> int:
 
 def _cmd_upper_bound(opts: dict) -> int:
     _note_ignored(opts, "seed", "out")
-    lifetime = opts["lifetime"]
-    if lifetime > MAX_CASUAL_LIFETIME and not opts["allow_large"]:
-        raise RuntimeError(
-            f"lifetime {lifetime} builds a {(1 << lifetime) ** 2 * 4}-state model; "
-            "pass --allow-large if you really want this"
-        )
     _check_writable(opts["export_lp"], opts["policy_out"])
-    model = build_mdp(_pair_params(opts), lifetime)
+    model = build_mdp(_pair_params(opts), opts["lifetime"])
+    program = bound_program(model) if opts["export_lp"] else None
     bound = upper_bound(model)
     print(f"bound={bound.value!r}")
-    if opts["export_lp"]:
-        write_mps(bound_program(model), opts["export_lp"], name=f"DCRA-D{lifetime}")
+    if program is not None:
+        write_mps(program, opts["export_lp"], name=f"DCRA-D{model.lifetime}")
         print(f"wrote {opts['export_lp']}")
     if opts["policy_out"]:
         _write_bound_policy(bound, opts["policy_out"])

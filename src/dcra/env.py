@@ -44,13 +44,14 @@ import linecache
 from dataclasses import dataclass
 from itertools import groupby
 from operator import add, sub
+from typing import NamedTuple
 
 import numpy as np
 
 from dcra.agents import (
     DISCOUNT,
-    EPSILON_DECAY,
     EPSILON_FLOOR,
+    EPSILONS,
     GAIN_STEP_SIZE,
     LEARNER_KINDS,
     STEP_SIZE,
@@ -209,8 +210,7 @@ class ScenarioConfig:
                                  "a Q-table may have")
 
 
-@dataclass(frozen=True)
-class SlotRecord:
+class SlotRecord(NamedTuple):
     """One traced slot; observations are the ones issued for the next slot."""
 
     slot: int
@@ -279,8 +279,8 @@ def _exploration_plan(learner: TabularLearner, n: int) -> list[int]:
     """The learner's next n select() draws, as one entry per slot.
 
     Entry j is GREEDY where slot j acts greedily, else the action it
-    explores.  The learner's UniformStream, step count and epsilon are left
-    as n select() calls would leave them: a slot takes one uniform, and one
+    explores.  The learner's UniformStream and step count are left as n
+    select() calls would leave them: a slot takes one uniform, and one
     more for the explored action when the first falls below epsilon.  While
     epsilon decays the draws are read slot by slot; at EPSILON_FLOOR only the
     uniforms below the floor are visited, found a window at a time in the
@@ -289,20 +289,18 @@ def _exploration_plan(learner: TabularLearner, n: int) -> list[int]:
     plan = [GREEDY] * n
     stream = learner.rng
     buf, pos = stream._buf, stream._pos
-    eps = learner._epsilon
-    j = 0
-    while j < n and eps >= EPSILON_FLOOR:
+    decaying = EPSILONS[learner.steps:learner.steps + n]
+    for j, eps in enumerate(decaying):
         if pos == len(buf):
             buf, pos = stream._refill(), 0
         explore = buf[pos] < eps
-        eps *= EPSILON_DECAY
         pos += 1
         if explore:
             if pos == len(buf):
                 buf, pos = stream._refill(), 0
             plan[j] = 1 if buf[pos] < 0.5 else 0
             pos += 1
-        j += 1
+    j = len(decaying)
     while j < n:
         if pos == len(buf):
             buf, pos = stream._refill(), 0
@@ -326,7 +324,6 @@ def _exploration_plan(learner: TabularLearner, n: int) -> list[int]:
             j += end - pos
             pos = end
     stream._pos = pos
-    learner._epsilon = eps
     learner.steps += n
     return plan
 

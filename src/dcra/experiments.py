@@ -6,8 +6,9 @@ runs themselves share no state and each seeds itself from its config, so
 they go to one worker process per CPU in the affinity mask (in-process when
 there is one CPU or one run) and come back in input order; the written
 bytes do not depend on the CPU count.  Exact bounds are computed in the
-parent.  CSV rows have parameter columns that always appear in the fixed
-order
+parent as their scenarios are built, so a bound that fails, or that mdp
+refuses as too large, fails before any slot runs.  CSV rows have parameter
+columns that always appear in the fixed order
 
     peer_arrival, agent_arrival, peer_success, agent_success,
     peer_transmit, lifetime, peer_count, agent_count
@@ -285,25 +286,21 @@ def run_sweep(
                         seed=(seed, lifetime, g),
                         agent_transmit=aloha_prob if agent == "blind" else None,
                     ))
+                bound = [upper_bound(build_mdp(params, lifetime)).value] if with_bound else []
             except Exception as exc:
                 raise _group_failed(seed, lifetime, g, exc) from exc
-            drawn.append((lifetime, g, params))
+            drawn.append((lifetime, g, params, bound))
     try:
         stats = _run_all(partial(_window_stats, window=window), configs)
     except _RunFailed as err:
-        lifetime, g, _ = drawn[err.index // len(agents)]
+        lifetime, g, *_ = drawn[err.index // len(agents)]
         raise _group_failed(seed, lifetime, g, err.__cause__) from err.__cause__
     rows = []
-    for k, (lifetime, g, params) in enumerate(drawn):
+    for k, (lifetime, g, params, bound) in enumerate(drawn):
         row: list = [g] + list(params.as_tuple()) + [lifetime, 1, 1]
         for thr, power in stats[k * len(agents):(k + 1) * len(agents)]:
             row += [thr, power]
-        if with_bound:
-            try:
-                row.append(upper_bound(build_mdp(params, lifetime)).value)
-            except Exception as exc:
-                raise _group_failed(seed, lifetime, g, exc) from exc
-        rows.append(row)
+        rows.append(row + bound)
     aggregate = _mean_row("mean", rows)
     if out_path:
         write_csv(out_path, header, rows + [aggregate])

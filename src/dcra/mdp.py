@@ -17,6 +17,10 @@ a table of the six outcomes of a slot (see TwoDeviceModel).
 upper_bound solves the MDP by policy iteration on the (l1, l2) pairs.  The
 paper's dual LP over the joint states (bound_program) is kept for export to
 external solvers and as an independent check.
+
+Both grow sixteenfold per lifetime.  No array of a bound may take over
+MAX_ARRAY_BYTES (1 GiB), checked before it is allocated: the kernel, 64 * 16^D
+bytes, fits up to D=6, bound_program's matrix, 64 * n_states^2, to D=5.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ __all__ = [
     "ALWAYS_IDLE",
     "ALWAYS_TRANSMIT",
     "BoundResult",
+    "MAX_ARRAY_BYTES",
     "TwoDeviceModel",
     "TwoDeviceParams",
     "bound_program",
@@ -48,6 +53,13 @@ __all__ = [
 ALWAYS_TRANSMIT = "always-transmit"
 ALWAYS_IDLE = "always-idle"
 TIE_TOL = 1e-9  # action values closer than this tie, and ties go to WAIT
+MAX_ARRAY_BYTES = 1 << 30  # the most bytes one array of a bound may take
+
+
+def _check_array_bytes(lifetime: int, what: str, nbytes: int) -> None:
+    if nbytes > MAX_ARRAY_BYTES:
+        raise ValueError(f"lifetime {lifetime} needs a {nbytes / 2**30:g} GiB {what}, "
+                         f"over the {MAX_ARRAY_BYTES / 2**30:g} GiB one array may take")
 
 
 @dataclass(frozen=True)
@@ -91,6 +103,7 @@ class TwoDeviceModel:
         self.lifetime = lifetime
         self.masks = 1 << lifetime
         self.n_states = self.masks * self.masks * 4
+        _check_array_bytes(lifetime, "kernel", 8 * 2 * self.masks**2 * self.n_states)
         self.kernel = self._build()
         obs = np.arange(self.n_states) % 4
         self.rewards = (
@@ -145,6 +158,7 @@ class TwoDeviceModel:
     @cached_property
     def transitions(self) -> np.ndarray:
         """Dense joint tensor: each pair's kernel row for its 4 source observations."""
+        _check_array_bytes(self.lifetime, "joint tensor", 4 * self.kernel.nbytes)
         return np.repeat(self.kernel, 4, axis=1)
 
 
@@ -181,9 +195,10 @@ def bound_program(model: TwoDeviceModel) -> LpProgram:
 
     The objective maximises sum r(s) x(s,a).  upper_bound does not solve
     it; it is the formulation exported for external LP solvers and the
-    independent check on upper_bound.
+    independent check on upper_bound.  Its (2n, 4n) matrix is dense.
     """
     n = model.n_states
+    _check_array_bytes(model.lifetime, "LP matrix", 8 * 2 * n * 4 * n)
     P = model.transitions
     # column 2s+a of the flow matrix carries P(s'|s,a) in row s'
     flow = np.transpose(P, (2, 1, 0)).reshape(n, 2 * n)

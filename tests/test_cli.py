@@ -230,9 +230,29 @@ def test_every_agent_choice_runs(capsys, tmp_path, monkeypatch, command, kind):
 
 
 def test_upper_bound_rejects_large_lifetime(capsys):
+    rc, out, err = run_cli(capsys, "upper-bound", "--lifetime", "7")
+    assert rc == 1 and out == ""
+    assert err == "error: lifetime 7 needs a 16 GiB kernel, over the 1 GiB one array may take\n"
+
+
+def test_upper_bound_lifetime_5_needs_no_flag(capsys):
     rc, out, err = run_cli(capsys, "upper-bound", "--lifetime", "5")
-    assert rc == 1
-    assert "allow-large" in err
+    assert rc == 0 and err == ""
+    assert round(float(parse_kv(out)["bound"]), 6) == 0.346631
+
+
+def test_upper_bound_builds_the_exported_lp_before_the_solve(capsys, tmp_path, monkeypatch):
+    calls = []
+
+    def refuse(model):
+        raise ValueError("refused")
+
+    monkeypatch.setattr(cli, "bound_program", refuse)
+    monkeypatch.setattr(cli, "upper_bound", lambda model: calls.append("upper_bound"))
+    rc, out, err = run_cli(capsys, "upper-bound", "--lifetime", "1",
+                           "--export-lp", str(tmp_path / "bound.mps"))
+    assert rc == 1 and out == "" and err == "error: refused\n"
+    assert calls == [] and list(tmp_path.iterdir()) == []
 
 
 def test_upper_bound_policy_export(capsys, tmp_path):

@@ -75,7 +75,7 @@ class TestUniformStream:
         sequence = np.random.default_rng(seed).random(400_000).tolist()
         stream = UniformStream(seed, block=block)
         learner = TabularLearner("r-tiny", 2, stream)
-        learner._epsilon = EPSILON_FLOOR
+        learner.steps = 1000
         pos = 0  # index in `sequence` of the stream's next uniform
         sizes = np.random.default_rng(block).integers(1, 300, size=60).tolist()
         for turn, size in enumerate(sizes):
@@ -101,15 +101,24 @@ class TestUniformStream:
         assert stream.random() == sequence[pos]
 
 
+# start steps at 0, at the decay's last value and past it; a start at 0
+# is named by its seed alone
+SEED_STARTS = [(seed, start) for start in (0, 918, 919) for seed in (0, 1, 2)]
+
+
 class TestExplorationPlan:
     """_exploration_plan reads a learner's stream as select() calls would."""
 
     @pytest.mark.parametrize("block", [1, 2, 3, 5, 8192])
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_select_calls(self, block, seed):
-        # small buffers put many explored actions' draws past a buffer's end
+    @pytest.mark.parametrize("seed, start", SEED_STARTS,
+                             ids=[f"{seed}-{start}" if start else f"{seed}"
+                                  for seed, start in SEED_STARTS])
+    def test_matches_select_calls(self, block, seed, start):
+        # small buffers put many explored actions' draws past a buffer's end;
+        # a start step at the decay's last value or past it begins there
         planned = TabularLearner("r-tiny", 2, UniformStream(seed, block=block))
         selected = TabularLearner("r-tiny", 2, UniformStream(seed, block=block))
+        planned.steps = selected.steps = start
         selected.greedy = lambda state: env.GREEDY
         chunks = np.random.default_rng(seed).integers(1, 300, size=40)
         for n in chunks:

@@ -210,6 +210,17 @@ def test_run_sweep_failed_group_reports_seed():
                   slots=1_000, window=1_000)
 
 
+def test_run_sweep_refuses_an_oversized_bound_before_any_run(monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(experiments, "_run_all", no_run)
+    with pytest.raises(RuntimeError, match=r"^group 0 at lifetime 7 \(seed \(9, 7, 0\)\) "
+                                           r"failed: lifetime 7 needs a 16 GiB kernel"):
+        run_sweep(groups=2, lifetimes=(7,), agents=("r-tiny", "blind"), seed=9,
+                  slots=1_000, window=1_000, with_bound=True)
+
+
 def test_run_convergence_series_shape(tmp_path):
     params = TwoDeviceParams(0.5, 0.4, 0.7, 0.6, 0.4)
     path = tmp_path / "conv.csv"

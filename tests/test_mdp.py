@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -393,3 +394,41 @@ def test_params_validation():
 def test_build_rejects_bad_lifetime():
     with pytest.raises(ValueError):
         build_mdp(REF, 0)
+
+
+def test_build_refuses_a_kernel_over_the_array_budget():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^lifetime 7 needs a 16 GiB kernel, "
+                                             r"over the 1 GiB one array may take$"):
+            build_mdp(REF, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_bound_program_refuses_a_matrix_over_the_array_budget():
+    class Model:
+        lifetime, n_states = 6, 16384
+
+        @property
+        def transitions(self):
+            raise AssertionError("bound_program read the transitions")
+
+    with pytest.raises(ValueError, match=r"^lifetime 6 needs a 16 GiB LP matrix, "
+                                         r"over the 1 GiB one array may take$"):
+        bound_program(Model())
+
+
+def test_array_budget_admits_an_array_of_its_size(monkeypatch):
+    # the D=2 kernel and the D=1 LP matrix both take 64 * 16^2 bytes
+    monkeypatch.setattr(mdp, "MAX_ARRAY_BYTES", 64 * 16**2)
+    assert build_mdp(REF, 2).kernel.nbytes == mdp.MAX_ARRAY_BYTES
+    assert bound_program(build_mdp(REF, 1)).constraints.nbytes == mdp.MAX_ARRAY_BYTES
+    with pytest.raises(ValueError, match="^lifetime 3 needs a .* kernel"):
+        build_mdp(REF, 3)
+    with pytest.raises(ValueError, match="^lifetime 2 needs a .* LP matrix"):
+        bound_program(build_mdp(REF, 2))
+    with pytest.raises(ValueError, match="^lifetime 2 needs a .* joint tensor"):
+        build_mdp(REF, 2).transitions

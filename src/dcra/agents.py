@@ -23,7 +23,6 @@ __all__ = [
     "StateKind",
     "TabularLearner",
     "reward_table",
-    "reward_value",
     "state_space_size",
     "write_policy_csv",
 ]
@@ -151,16 +150,6 @@ def reward_table(spec: RewardSpec) -> tuple[float | None, ...]:
     # 1 for a delivery to anyone (BUSY, SUCCESSFUL), 0 for none (IDLE, FAILED)
     hit, miss = 1.0 - spec.shift, 0.0 - spec.shift
     return (miss,) * 4 + (hit,) * 8 + (miss,) * 4
-
-
-def reward_value(spec: RewardSpec, obs: int, action: int, urgent: bool) -> float:
-    """The reward_table cell of (obs, action, urgent); ValueError if no slot
-    produces it."""
-    reward = reward_table(spec)[obs * 4 + action * 2 + urgent]
-    if reward is None:
-        raise ValueError(f"no slot produces {ChannelObservation(obs).name} "
-                         f"after {Action(action).name}")
-    return reward
 
 
 class TabularLearner:

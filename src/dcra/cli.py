@@ -8,9 +8,9 @@ subcommand's defaults, so the precedence is built-in defaults < config file <
 explicit flags.  Output paths default into the directory named by
 DCRA_OUTPUT_DIR (falling back to the working directory), and each is checked
 for writing before any model is built or any slot runs.  A bound that needs
-an array over mdp.MAX_ARRAY_BYTES (1 GiB) fails before that array is made,
-and before any solve or slot.  The process exits 0 on success and nonzero
-after printing one diagnostic line to stderr.
+an array over mdp.MAX_ARRAY_BYTES (1 GiB) fails before that array is made;
+a kernel that big fails before any solve or slot.  The process exits 0 on
+success and nonzero after printing one diagnostic line to stderr.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ from . import experiments
 from .agents import LEARNER_KINDS, RewardSpec, write_policy_csv
 from .core import write_csv
 from .env import check_window, run, write_trace_csv
-from .mdp import TwoDeviceParams, bound_program, build_mdp, majority_policy, upper_bound
-from .simplex import write_mps
+from .mdp import TwoDeviceParams, build_mdp, majority_policy, upper_bound, write_mps
 
 __all__ = ["main"]
 
@@ -271,11 +270,10 @@ def _cmd_upper_bound(opts: dict) -> int:
     _note_ignored(opts, "seed", "out")
     _check_writable(opts["export_lp"], opts["policy_out"])
     model = build_mdp(_pair_params(opts), opts["lifetime"])
-    program = bound_program(model) if opts["export_lp"] else None
     bound = upper_bound(model)
     print(f"bound={bound.value!r}")
-    if program is not None:
-        write_mps(program, opts["export_lp"], name=f"DCRA-D{model.lifetime}")
+    if opts["export_lp"]:
+        write_mps(model, opts["export_lp"])
         print(f"wrote {opts['export_lp']}")
     if opts["policy_out"]:
         _write_bound_policy(bound, opts["policy_out"])

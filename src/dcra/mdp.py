@@ -14,9 +14,9 @@ source observation, so the model stores one row per pair: its kernel, shape
 (2, 4^D, n_states), holds P(s' | l1, l2, a) in row l1 * 2^D + l2, read off
 a table of the six outcomes of a slot (see TwoDeviceModel).
 
-upper_bound solves the MDP by policy iteration on the (l1, l2) pairs.  The
-paper's dual LP over the joint states (bound_program) is kept for export to
-external solvers and as an independent check.
+upper_bound solves the MDP by policy iteration on the (l1, l2) pairs.
+write_mps exports the paper's dual LP over the joint states straight from
+the kernel; bound_program builds it densely, as the tests' reference.
 
 Both grow sixteenfold per lifetime.  No array of a bound may take over
 MAX_ARRAY_BYTES (1 GiB), checked before it is allocated: the kernel, 64 * 16^D
@@ -48,6 +48,7 @@ __all__ = [
     "majority_policy",
     "optimal_constant_policy",
     "upper_bound",
+    "write_mps",
 ]
 
 ALWAYS_TRANSMIT = "always-transmit"
@@ -109,17 +110,6 @@ class TwoDeviceModel:
         self.rewards = (
             (obs == ChannelObservation.BUSY) | (obs == ChannelObservation.SUCCESSFUL)
         ).astype(float)
-
-    def index(self, l1: int, l2: int, o: int) -> int:
-        m = self.masks
-        if not (0 <= l1 < m and 0 <= l2 < m):
-            raise ValueError(f"queue mask outside [0, {m})")
-        return (l1 * m + l2) * 4 + int(o)
-
-    def decode(self, s: int) -> tuple[int, int, int]:
-        o = s % 4
-        pair = s // 4
-        return pair // self.masks, pair % self.masks, o
 
     def _build(self) -> np.ndarray:
         p, m = self.params, self.masks
@@ -194,8 +184,10 @@ def bound_program(model: TwoDeviceModel) -> LpProgram:
         sum_a x(s',a) + sum_a y(s',a) - sum_{s,a} P(s'|s,a) y(s,a) = 1/|S|
 
     The objective maximises sum r(s) x(s,a).  upper_bound does not solve
-    it; it is the formulation exported for external LP solvers and the
-    independent check on upper_bound.  Its (2n, 4n) matrix is dense.
+    it, and write_mps exports it without it: its dense (2n, 4n) matrix is
+    the reference that the tests' LP oracle solves and checks write_mps
+    against.  The benchmark harness times it, and reads `transitions`, by
+    name.
     """
     n = model.n_states
     _check_array_bytes(model.lifetime, "LP matrix", 8 * 2 * n * 4 * n)
@@ -210,6 +202,56 @@ def bound_program(model: TwoDeviceModel) -> LpProgram:
     b = np.concatenate([np.zeros(n), np.full(n, 1.0 / n)])
     c = np.concatenate([np.repeat(model.rewards, 2), np.zeros(2 * n)])
     return LpProgram(c, A, b)
+
+
+def write_mps(model: TwoDeviceModel, path: str) -> None:
+    """Write bound_program's LP in fixed-field MPS, column by column from the kernel.
+
+    x(s,a) is column 2s+a and y(s,a) column 2n+2s+a; row s' is the flow
+    equality of s', row n+s' its normalisation.  A flow entry is
+    1 - P(s'|s,a) on the diagonal and 0 - P(s'|s,a) elsewhere, the
+    subtraction of bound_program's sums - flow, so the values match to the
+    bit; zeros are not written.  MPS readers minimise, so the objective row
+    carries the negated rewards.  An OSError surfaces as
+    RuntimeError("cannot write <path>: ..."), as in write_csv.
+    """
+    n, rewards = model.n_states, model.rewards.tolist()
+    row = [f"R{i + 1:07d}" for i in range(2 * n)]
+    successors = {}  # (action, pair): the s' with P(s'|pair, a) > 0, and P
+    for a, pair in np.ndindex(2, model.masks**2):
+        dest = np.flatnonzero(model.kernel[a, pair])
+        successors[a, pair] = dest.tolist(), model.kernel[a, pair, dest].tolist()
+
+    def flow(s: int, a: int) -> list[tuple[int, float]]:
+        entries = {s: 1.0}
+        for d, p in zip(*successors[a, s // 4]):
+            entries[d] = (1.0 if d == s else 0.0) - p
+        return sorted((d, v) for d, v in entries.items() if v != 0.0)
+
+    def columns():
+        for s, a in np.ndindex(n, 2):
+            name = f"X{2 * s + a + 1:07d}"
+            cost = f"    {name}  COST      {-rewards[s]:.12E}\n" if rewards[s] else ""
+            yield cost + "".join(f"    {name}  {row[i]}  {v:.12E}\n"
+                                 for i, v in flow(s, a) + [(n + s, 1.0)])
+        for s, a in np.ndindex(n, 2):
+            name = f"X{2 * n + 2 * s + a + 1:07d}"
+            yield "".join(f"    {name}  {row[n + i]}  {v:.12E}\n" for i, v in flow(s, a))
+
+    try:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write("* Maximisation program exported in minimise convention:\n"
+                     "* objective coefficients are negated.\n"
+                     f"NAME          DCRA-D{model.lifetime}\nROWS\n N  COST\n")
+            fh.writelines(f" E  {name}\n" for name in row)
+            fh.write("COLUMNS\n")
+            fh.writelines(columns())
+            fh.write("RHS\n")
+            rhs = f"{1.0 / n:.12E}"
+            fh.writelines(f"    RHS       {name}  {rhs}\n" for name in row[n:])
+            fh.write("ENDATA\n")
+    except OSError as exc:
+        raise RuntimeError(f"cannot write {path}: {exc}") from exc
 
 
 def _pair_chain(model: TwoDeviceModel) -> tuple[np.ndarray, np.ndarray]:
@@ -232,7 +274,8 @@ def _evaluate_policy(P: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarr
     system is singular when the chain splits into several recurrent classes
     (possible only with an arrival probability of exactly 1); then
     g = P g, g + h = r + P h and h + (I - P) w = 0 fix g and the bias h,
-    though not w, and a least-squares solve finds them.
+    though not w, and a least-squares solve of a budget-checked system
+    finds them (n = 4^D pairs gives the lifetime).
     """
     n = r.shape[0]
     lap = np.eye(n) - P
@@ -241,6 +284,7 @@ def _evaluate_policy(P: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarr
     try:
         z = np.linalg.solve(system, r)
     except np.linalg.LinAlgError:
+        _check_array_bytes(n.bit_length() // 2, "multichain system", 8 * (3 * n) ** 2)
         eye, zero = np.eye(n), np.zeros((n, n))
         blocks = np.block([[lap, zero, zero], [eye, lap, zero], [zero, eye, lap]])
         rhs = np.concatenate([np.zeros(n), r, np.zeros(n)])

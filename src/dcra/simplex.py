@@ -7,6 +7,9 @@ degenerate, so the implementation favours predictable, reproducible pivoting
 over raw speed: Dantzig pricing with a switch to Bland's rule after a fixed
 pivot budget, lowest-variable-index ratio tie-breaks, and periodic
 refactorisation of the basis inverse to keep roundoff in check.
+
+No command runs it: the tests solve mdp.bound_program's LP with it as the
+independent check on mdp.upper_bound.  The LP's MPS export is mdp.write_mps.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-__all__ = ["LpProgram", "LpSolution", "LpStatus", "solve_lp", "write_mps"]
+__all__ = ["LpProgram", "LpSolution", "LpStatus", "solve_lp"]
 
 # numerical tolerances: pivots smaller than _PIVOT_TOL are treated as zero,
 # reduced costs within _COST_TOL of zero terminate the phase, and a pivot
@@ -253,40 +256,3 @@ def solve_lp(program: LpProgram) -> LpSolution:
             f"simplex finished with residual {residual:.3e} above {tol:.3e}"
         )
     return LpSolution(LpStatus.OPTIMAL, x, float(c @ x), state.iterations)
-
-
-def write_mps(program: LpProgram, path: str, name: str = "DCRALP") -> None:
-    """Export the program in fixed-field MPS.
-
-    MPS readers minimise by default, so the objective row carries the negated
-    coefficients; a comment line records the convention.  An OSError
-    surfaces as RuntimeError("cannot write <path>: ..."), as in write_csv.
-    """
-    A, b, c = program.constraints, program.rhs, program.objective
-    m, n = A.shape
-    lines = [
-        "* Maximisation program exported in minimise convention:",
-        "* objective coefficients are negated.",
-        f"NAME          {name}",
-        "ROWS",
-        " N  COST",
-    ]
-    rownames = [f"R{i + 1:07d}" for i in range(m)]
-    colnames = [f"X{j + 1:07d}" for j in range(n)]
-    for rn in rownames:
-        lines.append(f" E  {rn}")
-    lines.append("COLUMNS")
-    for j, cn in enumerate(colnames):
-        if c[j] != 0.0:
-            lines.append(f"    {cn:<8}  {'COST':<8}  {-c[j]:.12E}")
-        for i in np.flatnonzero(A[:, j]):
-            lines.append(f"    {cn:<8}  {rownames[i]:<8}  {A[i, j]:.12E}")
-    lines.append("RHS")
-    for i in np.flatnonzero(b):
-        lines.append(f"    {'RHS':<8}  {rownames[i]:<8}  {b[i]:.12E}")
-    lines.append("ENDATA")
-    try:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise RuntimeError(f"cannot write {path}: {exc}") from exc

@@ -14,8 +14,9 @@ from dcra.agents import (
     EPSILON_FLOOR,
     N_OBS,
     StateKind,
+    RewardSpec,
     TabularLearner,
-    reward_value,
+    reward_table,
 )
 from dcra.core import Action, ApFeedback, ChannelObservation, DeviceParams, LeadTimeQueue
 from dcra.env import Metrics, RunResult, SlotRecord, UniformStream
@@ -36,6 +37,30 @@ def epsilon_at(step: int) -> float:
     if step < 1:
         raise ValueError(f"step is 1-based, got {step}")
     return max(EPSILON_DECAY ** (step - 1), EPSILON_FLOOR)
+
+
+def reward_value(spec: RewardSpec, obs: int, action: int, urgent: bool) -> float:
+    """The reward_table cell of (obs, action, urgent); ValueError if no slot
+    produces it."""
+    reward = reward_table(spec)[obs * 4 + action * 2 + urgent]
+    if reward is None:
+        raise ValueError(f"no slot produces {ChannelObservation(obs).name} "
+                         f"after {Action(action).name}")
+    return reward
+
+
+def joint_index(model, l1: int, l2: int, o: int) -> int:
+    """Joint state index (l1 * 2^D + l2) * 4 + o of a two-device model."""
+    m = model.masks
+    if not (0 <= l1 < m and 0 <= l2 < m):
+        raise ValueError(f"queue mask outside [0, {m})")
+    return (l1 * m + l2) * 4 + int(o)
+
+
+def joint_decode(model, s: int) -> tuple[int, int, int]:
+    """(l1, l2, o) of joint state s; the inverse of joint_index."""
+    pair, o = divmod(s, 4)
+    return pair // model.masks, pair % model.masks, o
 
 
 def q_table(learner: TabularLearner) -> np.ndarray:
@@ -141,7 +166,7 @@ def vi_majority(model, action_values, tie_tol=1e-9):
         for o in range(4):
             votes = 0
             for l1 in range(m):
-                s = model.index(l1, l2, o)
+                s = joint_index(model, l1, l2, o)
                 votes += action_values[s, 1] > action_values[s, 0] + tie_tol
             out[(l2, o)] = 1 if votes > m // 2 else 0
     return out
@@ -177,6 +202,45 @@ def enumerate_lp_max(c, A, b):
         if best is None or value > best[0]:
             best = (value, x)
     return best
+
+
+def read_mps(path):
+    """(name, c, A, b) of a fixed-field MPS file, read back field by field.
+
+    Knows only what an equality-form maximisation written in minimise
+    convention holds: E rows, a COST row carrying -c, COLUMNS and RHS
+    entries.  Rows and columns are numbered in order of first appearance.
+    """
+    name, rows, cols, entries, costs, rhs = None, {}, {}, [], {}, {}
+    section = None
+    with open(path, encoding="ascii") as fh:
+        for line in fh:
+            if line.startswith("*"):
+                continue
+            if not line.startswith(" "):
+                section, *rest = line.split()
+                name = rest[0] if section == "NAME" else name
+                continue
+            fields = line.split()
+            if section == "ROWS" and fields[0] == "E":
+                rows[fields[1]] = len(rows)
+            elif section == "COLUMNS":
+                col, row, value = fields
+                j = cols.setdefault(col, len(cols))
+                if row == "COST":
+                    costs[j] = -float(value)
+                else:
+                    entries.append((rows[row], j, float(value)))
+            elif section == "RHS":
+                rhs[rows[fields[1]]] = float(fields[2])
+    c, A, b = np.zeros(len(cols)), np.zeros((len(rows), len(cols))), np.zeros(len(rows))
+    for j, value in costs.items():
+        c[j] = value
+    for i, j, value in entries:
+        A[i, j] = value
+    for i, value in rhs.items():
+        b[i] = value
+    return name, c, A, b
 
 
 def reference_run(config, trace=False):

@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from oracles import epsilon_at, one_slot_transition_mc, relative_value_iteration
+from oracles import epsilon_at, joint_index, one_slot_transition_mc, relative_value_iteration
 
 from dcra import experiments
 from dcra.agents import RewardSpec
@@ -146,8 +146,8 @@ def test_transition_model_matches_monte_carlo():
                     for o in range(1, 4):
                         for a in (0, 1):
                             if not np.array_equal(
-                                model.transitions[a, model.index(l1, l2, o)],
-                                model.transitions[a, model.index(l1, l2, 0)],
+                                model.transitions[a, joint_index(model, l1, l2, o)],
+                                model.transitions[a, joint_index(model, l1, l2, 0)],
                             ):
                                 structure_ok = False
                     for a in (0, 1):
@@ -160,7 +160,7 @@ def test_transition_model_matches_monte_carlo():
                             n,
                             (base, lifetime, l1, l2, a),
                         )
-                        p = model.transitions[a, model.index(l1, l2, 0)]
+                        p = model.transitions[a, joint_index(model, l1, l2, 0)]
                         if counts[p == 0.0].any():
                             structure_ok = False
                         live = p > 0.0

@@ -10,11 +10,10 @@ from dcra.agents import (
     RewardSpec,
     StateKind,
     TabularLearner,
-    reward_value,
     state_space_size,
 )
 from dcra.core import Action, ChannelObservation, LeadTimeQueue
-from oracles import blind_transmit, encode_state, epsilon_at, q_table
+from oracles import blind_transmit, encode_state, epsilon_at, q_table, reward_value
 
 IDLE = ChannelObservation.IDLE
 BUSY = ChannelObservation.BUSY

@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from dcra import cli, experiments
+from dcra import cli, experiments, mdp
 from dcra.agents import RewardSpec
 from dcra.cli import build_parser, main
 from dcra.core import write_csv
@@ -241,20 +241,6 @@ def test_upper_bound_lifetime_5_needs_no_flag(capsys):
     assert round(float(parse_kv(out)["bound"]), 6) == 0.346631
 
 
-def test_upper_bound_builds_the_exported_lp_before_the_solve(capsys, tmp_path, monkeypatch):
-    calls = []
-
-    def refuse(model):
-        raise ValueError("refused")
-
-    monkeypatch.setattr(cli, "bound_program", refuse)
-    monkeypatch.setattr(cli, "upper_bound", lambda model: calls.append("upper_bound"))
-    rc, out, err = run_cli(capsys, "upper-bound", "--lifetime", "1",
-                           "--export-lp", str(tmp_path / "bound.mps"))
-    assert rc == 1 and out == "" and err == "error: refused\n"
-    assert calls == [] and list(tmp_path.iterdir()) == []
-
-
 def test_upper_bound_policy_export(capsys, tmp_path):
     out_path = tmp_path / "pol.csv"
     rc, _, _ = run_cli(
@@ -319,6 +305,29 @@ def test_upper_bound_writes_every_output_asked_for(capsys, tmp_path, lifetime):
     assert bound.startswith("bound=") and wrote == [f"wrote {mps}", f"wrote {policy}"]
     digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (mps, policy))
     assert digests == BOUND_GOLDEN[lifetime]
+
+
+@pytest.mark.parametrize("lifetime", sorted(BOUND_GOLDEN))
+def test_upper_bound_exports_the_lp_without_the_dense_matrix(capsys, tmp_path, monkeypatch,
+                                                               lifetime):
+    def refuse(*_):
+        raise AssertionError("the export built the dense LP")
+
+    monkeypatch.setattr(mdp, "bound_program", refuse)
+    monkeypatch.setattr(mdp.TwoDeviceModel, "transitions", property(refuse))
+    mps = tmp_path / "bound.mps"
+    rc, _, err = run_cli(capsys, "upper-bound", "--lifetime", str(lifetime),
+                         "--export-lp", str(mps))
+    assert rc == 0 and err == ""
+    assert hashlib.sha256(mps.read_bytes()).hexdigest() == BOUND_GOLDEN[lifetime][0]
+
+
+def test_upper_bound_mps_at_lifetime_4_is_pinned(capsys, tmp_path):
+    mps = tmp_path / "bound.mps"
+    rc, _, _ = run_cli(capsys, "upper-bound", "--lifetime", "4", "--export-lp", str(mps))
+    assert rc == 0
+    assert (hashlib.sha256(mps.read_bytes()).hexdigest()
+            == "3665f34d5e681b4fbffb41029092785b051a8ad6d991396c48ce802b5f19d8ca")
 
 
 # sha256 of each simulation command's output file at small sizes and fixed

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from dcra import env
-from dcra.agents import EPSILON_FLOOR, RewardSpec, TabularLearner, reward_table, reward_value
+from dcra.agents import EPSILON_FLOOR, RewardSpec, TabularLearner, reward_table
 from dcra.core import ApFeedback, ChannelObservation, DeviceParams
 from dcra.env import (
     BLOCK,
@@ -23,7 +23,7 @@ from dcra.env import (
     run,
     write_trace_csv,
 )
-from oracles import reference_run, resolve_slot
+from oracles import reference_run, resolve_slot, reward_value
 
 IDLE = ChannelObservation.IDLE
 BUSY = ChannelObservation.BUSY

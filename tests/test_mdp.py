@@ -20,7 +20,14 @@ from dcra.mdp import (
     upper_bound,
 )
 from dcra.simplex import solve_lp
-from oracles import one_slot_transition_mc, relative_value_iteration, vi_majority
+from oracles import (
+    joint_decode,
+    joint_index,
+    one_slot_transition_mc,
+    read_mps,
+    relative_value_iteration,
+    vi_majority,
+)
 
 REF = TwoDeviceParams(0.5, 0.4, 0.7, 0.6, 0.4)
 
@@ -36,8 +43,8 @@ def random_params(rng):
 
 def test_transition_example_lone_agent_success():
     model = build_mdp(REF, 1)
-    src = model.index(0, 1, I)
-    dst = model.index(1, 1, S)
+    src = joint_index(model, 0, 1, I)
+    dst = joint_index(model, 1, 1, S)
     # agent alone, decoded, then both queues refill
     assert model.transitions[1, src, dst] == pytest.approx(
         0.4 * 0.5 * 0.6, abs=1e-15
@@ -47,7 +54,7 @@ def test_transition_example_lone_agent_success():
 def test_both_empty_is_idle():
     model = build_mdp(REF, 2)
     for o in range(4):
-        row = model.transitions[0, model.index(0, 0, o)]
+        row = model.transitions[0, joint_index(model, 0, 0, o)]
         idle_mass = row[np.arange(model.n_states) % 4 == I].sum()
         assert idle_mass == pytest.approx(1.0, abs=1e-15)
 
@@ -55,7 +62,7 @@ def test_both_empty_is_idle():
 def test_collision_mass_at_least_peer_transmit():
     model = build_mdp(REF, 1)
     for o in range(4):
-        row = model.transitions[1, model.index(1, 1, o)]
+        row = model.transitions[1, joint_index(model, 1, 1, o)]
         failed_mass = row[np.arange(model.n_states) % 4 == F].sum()
         assert failed_mass >= REF.peer_transmit - 1e-15
 
@@ -105,7 +112,7 @@ def test_transitions_match_one_slot_monte_carlo():
                 counts = one_slot_transition_mc(
                     REF.as_tuple(), 1, l1, l2, a, n, seed=97 + 4 * l1 + 2 * l2 + a
                 )
-                probs = model.transitions[a, model.index(l1, l2, I)]
+                probs = model.transitions[a, joint_index(model, l1, l2, I)]
                 for sp, p in enumerate(probs):
                     if p == 0.0:
                         assert counts[sp] == 0
@@ -117,9 +124,9 @@ def test_transitions_match_one_slot_monte_carlo():
 def test_index_decode_roundtrip():
     model = build_mdp(REF, 3)
     for s in range(model.n_states):
-        assert model.index(*model.decode(s)) == s
+        assert joint_index(model, *joint_decode(model, s)) == s
     with pytest.raises(ValueError):
-        model.index(8, 0, 0)
+        joint_index(model, 8, 0, 0)
 
 
 # --- LP bound -------------------------------------------------------------
@@ -194,7 +201,7 @@ def test_occupancy_support_is_value_iteration_optimal():
         for a in (0, 1):
             if x[s, a] > 1e-10:
                 assert action_values[s, a] >= action_values[s, 1 - a] - 1e-8, (
-                    model.decode(s),
+                    joint_decode(model, s),
                     a,
                 )
 
@@ -212,7 +219,7 @@ def test_majority_policy_agrees_with_value_iteration_on_recurrent_rows():
     for l2 in range(model.masks):
         for o in range(4):
             if all(
-                x_mass[model.index(l1, l2, o)] > 1e-10
+                x_mass[joint_index(model, l1, l2, o)] > 1e-10
                 for l1 in range(model.masks)
             ):
                 assert voted[(l2, o)] == expected[(l2, o)], (l2, o)
@@ -340,6 +347,56 @@ def test_majority_policy_reference_rows():
         assert voted[(1, o)] == 1
         assert voted[(2, o)] == 1  # fresh packet always transmits
         assert voted[(3, o)] == 1
+
+
+def test_multichain_fallback_refuses_a_system_over_the_array_budget(monkeypatch):
+    # the D=2 evaluations at this point take the least-squares fallback,
+    # whose (48, 48) system takes 18432 bytes, over a budget that the
+    # 16384-byte kernel still fits
+    model = build_mdp(TwoDeviceParams(0.0, 1.0, 0.0, 1.0, 0.0), 2)
+    value = upper_bound(model).value
+    monkeypatch.setattr(mdp, "MAX_ARRAY_BYTES", model.kernel.nbytes)
+    with pytest.raises(ValueError, match=r"^lifetime 2 needs a 1\.71661e-05 GiB multichain "
+                                         r"system, over the .* GiB one array may take$"):
+        upper_bound(build_mdp(TwoDeviceParams(0.0, 1.0, 0.0, 1.0, 0.0), 2))
+    monkeypatch.undo()
+    assert upper_bound(model).value == value
+
+
+# --- LP export ----------------------------------------------------------------
+
+
+def _as_printed(values):
+    """Each value rounded as the MPS file prints it, to 13 significant digits."""
+    return np.array([float(f"{v:.12E}") for v in values])
+
+
+@pytest.mark.parametrize("lifetime", (1, 2, 3))
+def test_write_mps_reads_back_as_bound_program(tmp_path, lifetime):
+    rng = np.random.default_rng(11)
+    path = tmp_path / "bound.mps"
+    for params in [REF] + [sample_params(ParamRanges(), rng) for _ in range(2)]:
+        model = build_mdp(params, lifetime)
+        mdp.write_mps(model, str(path))
+        name, *arrays = read_mps(path)
+        program = bound_program(model)
+        assert name == f"DCRA-D{lifetime}"
+        for got, want in zip(arrays, (program.objective, program.constraints, program.rhs)):
+            assert got.shape == want.shape
+            assert np.array_equal(got != 0, want != 0)
+            assert np.array_equal(got[got != 0], _as_printed(want[want != 0]))
+
+
+def test_write_mps_builds_nothing_the_size_of_the_matrix(tmp_path):
+    # bound_program's D=4 matrix alone takes 64 MiB
+    model = build_mdp(REF, 4)
+    tracemalloc.start()
+    try:
+        mdp.write_mps(model, str(tmp_path / "bound.mps"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
 
 
 # --- closed forms ----------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dcra.simplex import LpProgram, LpStatus, solve_lp, write_mps
+from dcra.simplex import LpProgram, LpStatus, solve_lp
 from oracles import enumerate_lp_max
 
 
@@ -149,36 +149,3 @@ def test_require_optimal_raises_on_infeasible():
     sol = solve_lp(LpProgram([0.0], [[1.0]], [-1.0]))
     with pytest.raises(RuntimeError):
         sol.require_optimal()
-
-
-def test_mps_export_golden(tmp_path):
-    prog = LpProgram(
-        [1.0, 0.0, -2.5],
-        [[1.0, 1.0, 0.0], [0.0, 2.0, -1.0]],
-        [1.0, 0.5],
-    )
-    path = tmp_path / "prog.mps"
-    write_mps(prog, str(path), name="GOLDEN")
-    expected = "\n".join(
-        [
-            "* Maximisation program exported in minimise convention:",
-            "* objective coefficients are negated.",
-            "NAME          GOLDEN",
-            "ROWS",
-            " N  COST",
-            " E  R0000001",
-            " E  R0000002",
-            "COLUMNS",
-            "    X0000001  COST      -1.000000000000E+00",
-            "    X0000001  R0000001  1.000000000000E+00",
-            "    X0000002  R0000001  1.000000000000E+00",
-            "    X0000002  R0000002  2.000000000000E+00",
-            "    X0000003  COST      2.500000000000E+00",
-            "    X0000003  R0000002  -1.000000000000E+00",
-            "RHS",
-            "    RHS       R0000001  1.000000000000E+00",
-            "    RHS       R0000002  5.000000000000E-01",
-            "ENDATA",
-        ]
-    ) + "\n"
-    assert path.read_text() == expected

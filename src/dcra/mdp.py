@@ -14,7 +14,8 @@ source observation, so the model stores one row per pair: its kernel, shape
 (2, 4^D, n_states), holds P(s' | l1, l2, a) in row l1 * 2^D + l2, read off
 a table of the six outcomes of a slot (see TwoDeviceModel).
 
-upper_bound solves the MDP by policy iteration on the (l1, l2) pairs.
+upper_bound solves the MDP by policy iteration on the (l1, l2) pairs and
+certifies its value by the gain interval of its last step.
 write_mps exports the paper's dual LP over the joint states straight from
 the kernel; bound_program builds it densely, as the tests' reference.
 
@@ -54,6 +55,8 @@ __all__ = [
 ALWAYS_TRANSMIT = "always-transmit"
 ALWAYS_IDLE = "always-idle"
 TIE_TOL = 1e-9  # action values closer than this tie, and ties go to WAIT
+GAIN_TOL = 1e-12  # upper_bound stops once its gain interval is this wide
+MAX_STEPS = 1_000  # upper_bound's step cap; no point tried took more than 5
 MAX_ARRAY_BYTES = 1 << 30  # the most bytes one array of a bound may take
 
 
@@ -163,11 +166,13 @@ class BoundResult:
     `transmit[l1 * 2^D + l2]` is the greedy action of the average-reward
     optimality equations on the pair (l1, l2), True for TRANSMIT (ties
     within TIE_TOL to WAIT); a joint state takes the action of its pair,
-    whatever its observation.  `iterations` counts the policy-iteration
-    steps.
+    whatever its observation.  `gain_interval` (low, high) holds the
+    optimal gain, at most GAIN_TOL wide, and `value` is its midpoint;
+    `iterations` counts upper_bound's steps.
     """
 
     value: float
+    gain_interval: tuple[float, float]
     transmit: np.ndarray  # (4^D,) bool, one action per (l1, l2) pair
     iterations: int
     model: TwoDeviceModel
@@ -254,88 +259,67 @@ def write_mps(model: TwoDeviceModel, path: str) -> None:
         raise RuntimeError(f"cannot write {path}: {exc}") from exc
 
 
-def _pair_chain(model: TwoDeviceModel) -> tuple[np.ndarray, np.ndarray]:
-    """Kernel (2, pairs, pairs) and expected rewards (2, pairs) on (l1, l2).
+def _policy_bias(model: TwoDeviceModel, r: np.ndarray, transmit: np.ndarray) -> np.ndarray:
+    """Bias h of the pair chain under the policy `transmit`, with h[0] = 0.
 
-    The model's kernel holds one row per pair over the joint destinations
-    s' = pair' * 4 + o'; summing the destination observations out leaves
-    the pair chain, and r(pair, a) = P_a(pair) . rewards is the reward the
-    joint chain collects one slot later.
+    g + h = r_pi + P_pi h with h pinned to 0 at pair 0 is one dense solve,
+    column 0 carrying g.  P_pi is summed out of the kernel one destination
+    observation at a time, so no (2, 4^D, 4^D) pair chain is held.  The
+    system is singular, and np.linalg.solve raises LinAlgError, when the
+    policy's chain splits into several recurrent classes (possible only
+    with an arrival probability of exactly 1).
     """
-    kernel, pairs = model.kernel, model.masks * model.masks
-    return kernel.reshape(2, pairs, pairs, 4).sum(axis=3), kernel @ model.rewards
-
-
-def _evaluate_policy(P: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gain and bias vectors (g, h) of the Markov reward process (P, r).
-
-    With one recurrent class g is a constant and g + h = r + P h with h
-    pinned to 0 at state 0 is one dense solve, column 0 carrying g.  That
-    system is singular when the chain splits into several recurrent classes
-    (possible only with an arrival probability of exactly 1); then
-    g = P g, g + h = r + P h and h + (I - P) w = 0 fix g and the bias h,
-    though not w, and a least-squares solve of a budget-checked system
-    finds them (n = 4^D pairs gives the lifetime).
-    """
-    n = r.shape[0]
-    lap = np.eye(n) - P
-    system = lap.copy()
+    pairs = model.masks * model.masks
+    kernel, rows = model.kernel.reshape(2, pairs, pairs, 4), transmit[:, None]
+    system = np.zeros((pairs, pairs))
+    for o in range(4):
+        system -= np.where(rows, kernel[1, ..., o], kernel[0, ..., o])
+    system.flat[:: pairs + 1] += 1.0
     system[:, 0] = 1.0
-    try:
-        z = np.linalg.solve(system, r)
-    except np.linalg.LinAlgError:
-        _check_array_bytes(n.bit_length() // 2, "multichain system", 8 * (3 * n) ** 2)
-        eye, zero = np.eye(n), np.zeros((n, n))
-        blocks = np.block([[lap, zero, zero], [eye, lap, zero], [zero, eye, lap]])
-        rhs = np.concatenate([np.zeros(n), r, np.zeros(n)])
-        z = np.linalg.lstsq(blocks, rhs, rcond=None)[0]
-        return z[:n], z[n : 2 * n]
-    gain = np.full(n, z[0])
-    z[0] = 0.0
-    return gain, z
+    bias = np.linalg.solve(system, np.where(transmit, r[1], r[0]))
+    bias[0] = 0.0
+    return bias
 
 
 def upper_bound(model: TwoDeviceModel) -> BoundResult:
-    """Best average reward of the genie MDP, by Howard policy iteration.
+    """Best average reward of the genie MDP, by policy iteration.
 
-    Runs on the (l1, l2) pair chain (see _pair_chain), 4x smaller than the
-    joint chain (Puterman 1994, ch. 8-9).  From all-WAIT: evaluate the
-    policy for (g, h), switch every pair to the greedy action, gain first
-    (P_a g) and then bias (r_a + P_a h), with ties within TIE_TOL to WAIT,
-    and stop when the policy no longer changes.  The Q-gaps of a joint
-    state equal those of its pair, so each pair's action, taken in all four
-    of its observations, is an optimal joint policy.  The value is the gain
-    averaged uniformly over the joint states, as bound_program weighs them.
-
-    Where the gain is constant the optimality-equation residual
-    max |g + h - max_a (r_a + P_a h)| certifies the result; it must not
-    exceed TIE_TOL.
+    Runs on the (l1, l2) pairs, 4x fewer than the joint states (Puterman
+    1994, ch. 8-9): with r(pair, a) = P_a(pair) . rewards, the reward the
+    joint chain collects one slot later, a bias h on the pairs has action
+    values q_a = r_a + P_a h, one product of the kernel with h repeated
+    over the four destination observations.  Each step takes q_a and
+    Th = max_a q_a.  For any h the optimal gain lies in
+    min(Th - h) <= g* <= max(Th - h) (Odoni 1969), so the steps stop once
+    that interval is GAIN_TOL wide, and the value is its midpoint.  Until
+    then h becomes the bias of the greedy policy (see _policy_bias), from
+    h = 0; the policy of the step before, or one whose chain has several
+    recurrent classes and so no bias solve, takes the relative
+    value-iteration step h = Th - Th[0] instead.  The Q-gaps of a joint state equal those of its
+    pair, so each pair's greedy action of the last step, taken in all four
+    of its observations, is an optimal joint policy.
     """
-    P, r = _pair_chain(model)
-    pairs = r.shape[1]
-    transmit = np.zeros(pairs, dtype=bool)
-    for iterations in range(1, pairs + 2):
-        gain, bias = _evaluate_policy(
-            np.where(transmit[:, None], P[1], P[0]), np.where(transmit, r[1], r[0])
-        )
-        gain_gap = P[1] @ gain - P[0] @ gain
-        q = r + P @ bias
-        bias_gap = q[1] - q[0]
-        improved = (gain_gap > TIE_TOL) | ((gain_gap >= -TIE_TOL) & (bias_gap > TIE_TOL))
-        if np.array_equal(improved, transmit):
+    kernel = model.kernel
+    r = kernel @ model.rewards
+    h, policy = np.zeros(model.masks * model.masks), None
+    for steps in range(1, MAX_STEPS + 1):
+        q = r + kernel @ np.repeat(h, 4)
+        th = q.max(axis=0)
+        low, high = float((th - h).min()), float((th - h).max())
+        if high - low <= GAIN_TOL:
             break
-        transmit = improved
+        greedy, h = q[1] > q[0], th - th[0]
+        if not np.array_equal(greedy, policy):
+            policy = greedy
+            try:
+                h = _policy_bias(model, r, policy)
+            except np.linalg.LinAlgError:
+                pass
     else:
-        raise RuntimeError("bound policy iteration did not settle")
-    if np.ptp(gain) <= TIE_TOL:
-        residual = np.abs(gain + bias - q.max(axis=0)).max()
-        if residual > TIE_TOL:
-            raise RuntimeError(
-                f"bound policy leaves optimality-equation residual {residual!r}"
-            )
-    return BoundResult(
-        value=float(gain.mean()), transmit=transmit, iterations=iterations, model=model
-    )
+        raise RuntimeError(f"bound policy iteration did not settle: gain in "
+                           f"[{low!r}, {high!r}] after {MAX_STEPS} steps")
+    return BoundResult(value=(low + high) / 2, gain_interval=(low, high),
+                       transmit=q[1] - q[0] > TIE_TOL, iterations=steps, model=model)
 
 
 def majority_policy(bound: BoundResult) -> dict[tuple[int, int], int]:

@@ -24,6 +24,7 @@ from oracles import (
     joint_decode,
     joint_index,
     one_slot_transition_mc,
+    policy_iteration_bound,
     read_mps,
     relative_value_iteration,
     vi_majority,
@@ -275,8 +276,8 @@ def test_bound_matches_value_iteration_on_uniform_points(lifetime):
 
 @pytest.mark.parametrize("lifetime, n_random", [(1, 5), (2, 5), (3, 2)])
 def test_bound_equals_lp_optimum(lifetime, n_random):
-    # two independent methods: policy iteration on the pair chain and the
-    # dual LP over the joint states
+    # two independent methods: policy iteration on the pairs and the dual
+    # LP over the joint states
     rng = np.random.default_rng(2000 + lifetime)
     points = [sample_params(ParamRanges(), rng) for _ in range(n_random)]
     for params in [REF] + points:
@@ -310,24 +311,76 @@ def test_bound_never_builds_the_joint_tensor(monkeypatch):
         assert len(voted) == 4 * model.masks
 
 
-def test_bound_rejects_a_policy_off_the_optimality_equations(monkeypatch):
-    # a bias off by 1e-6 at one state leaves a residual far above TIE_TOL
-    evaluate = mdp._evaluate_policy
-
-    def skewed(P, r):
-        gain, bias = evaluate(P, r)
-        bias[1] += 1e-6
-        return gain, bias
-
-    monkeypatch.setattr(mdp, "_evaluate_policy", skewed)
-    with pytest.raises(RuntimeError, match="residual"):
+def test_bound_refuses_a_gain_interval_left_open_at_the_step_cap(monkeypatch):
+    # REF needs 3 steps at D=2 before its interval closes to 1e-12
+    monkeypatch.setattr(mdp, "MAX_STEPS", 2)
+    with pytest.raises(RuntimeError, match=r"^bound policy iteration did not settle: gain in "
+                                           r"\[0\.3\d+, 0\.3\d+\] after 2 steps$"):
         upper_bound(build_mdp(REF, 2))
+
+
+@pytest.mark.parametrize("lifetime", (1, 2, 3, 4))
+def test_bound_value_is_certified_by_its_gain_interval(lifetime):
+    res = upper_bound(build_mdp(REF, lifetime))
+    low, high = res.gain_interval
+    assert low <= res.value <= high
+    assert high - low <= 1e-12
+
+
+@pytest.mark.parametrize("lifetime", (1, 2, 3))
+@pytest.mark.parametrize("peer_transmit", (0.0, 1.0))
+def test_bound_of_a_lone_agent_that_always_delivers_is_one(lifetime, peer_transmit):
+    # an agent that holds a fresh packet every slot and always gets it
+    # through delivers exactly one packet per slot, and nothing delivers more
+    value = upper_bound(build_mdp(TwoDeviceParams(0.0, 1.0, 0.0, 1.0, peer_transmit),
+                                  lifetime)).value
+    assert 0.0 <= value <= 1.0
+    assert value == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("lifetime", (2, 3))
+@pytest.mark.parametrize("params", [TwoDeviceParams(0.0, 0.999, 0.0, 1.0, 0.0),
+                                    TwoDeviceParams(0.0, 0.9999, 0.0, 1.0, 1.0)])
+def test_bound_settles_where_its_chain_mixes_slowly(params, lifetime):
+    # a lone agent with a fresh packet in all but 1 slot in 1000 (or
+    # 10000) delivers exactly that share; the pair holding a packet of
+    # every lead time returns to itself with that probability, which value
+    # iteration alone would take some 1/(1 - p) sweeps to price
+    model = build_mdp(params, lifetime)
+    res = upper_bound(model)
+    value, transmit = policy_iteration_bound(model)
+    assert res.value == pytest.approx(params.agent_arrival, abs=1e-12)
+    assert res.value == pytest.approx(value, abs=1e-12)
+    assert np.array_equal(res.transmit, transmit)
+    assert res.iterations <= 5
+
+
+@pytest.mark.parametrize("lifetime", (2, 3))
+def test_bound_finds_a_gain_below_the_tie_tolerance(lifetime):
+    # a lone agent that always holds a packet and gets one through in 1e9
+    # tries: transmitting beats waiting by 1e-9 a slot, within TIE_TOL
+    res = upper_bound(build_mdp(TwoDeviceParams(0.0, 1.0, 1.0, 1e-9, 1.0), lifetime))
+    assert res.value == pytest.approx(1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("lifetime", (4, 5))
+def test_bound_equals_policy_iteration_beyond_the_lp_oracle(lifetime):
+    # the LP oracle stops at D=3; the tests' own policy iteration, with its
+    # gain-first step and least-squares multichain solve, reaches D=5 in
+    # about 0.3 s a point
+    rng = np.random.default_rng(4000 + lifetime)
+    for params in [REF] + [sample_params(ParamRanges(), rng) for _ in range(2)]:
+        model = build_mdp(params, lifetime)
+        res = upper_bound(model)
+        value, transmit = policy_iteration_bound(model)
+        assert res.value == pytest.approx(value, abs=1e-9), params
+        assert np.array_equal(res.transmit, transmit), params
 
 
 def test_bound_policy_with_several_recurrent_classes():
     # a lone agent that always gets a packet and always gets it through:
     # under always-transmit the queue masks 2 and 3 each loop on themselves,
-    # so the policy is evaluated as a multichain; waiting only delays a
+    # so the policy has several recurrent classes and no bias solve; waiting only delays a
     # delivery, which the bias, not the gain, prices
     model = build_mdp(TwoDeviceParams(0.0, 1.0, 0.0, 1.0, 0.0), 2)
     res = upper_bound(model)
@@ -347,20 +400,6 @@ def test_majority_policy_reference_rows():
         assert voted[(1, o)] == 1
         assert voted[(2, o)] == 1  # fresh packet always transmits
         assert voted[(3, o)] == 1
-
-
-def test_multichain_fallback_refuses_a_system_over_the_array_budget(monkeypatch):
-    # the D=2 evaluations at this point take the least-squares fallback,
-    # whose (48, 48) system takes 18432 bytes, over a budget that the
-    # 16384-byte kernel still fits
-    model = build_mdp(TwoDeviceParams(0.0, 1.0, 0.0, 1.0, 0.0), 2)
-    value = upper_bound(model).value
-    monkeypatch.setattr(mdp, "MAX_ARRAY_BYTES", model.kernel.nbytes)
-    with pytest.raises(ValueError, match=r"^lifetime 2 needs a 1\.71661e-05 GiB multichain "
-                                         r"system, over the .* GiB one array may take$"):
-        upper_bound(build_mdp(TwoDeviceParams(0.0, 1.0, 0.0, 1.0, 0.0), 2))
-    monkeypatch.undo()
-    assert upper_bound(model).value == value
 
 
 # --- LP export ----------------------------------------------------------------

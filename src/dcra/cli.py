@@ -8,9 +8,9 @@ subcommand's defaults, so the precedence is built-in defaults < config file <
 explicit flags.  Output paths default into the directory named by
 DCRA_OUTPUT_DIR (falling back to the working directory), and each is checked
 for writing before any model is built or any slot runs.  A bound that needs
-an array over mdp.MAX_ARRAY_BYTES (1 GiB) fails before that array is made;
-a kernel that big fails before any solve or slot.  The process exits 0 on
-success and nonzero after printing one diagnostic line to stderr.
+an array over mdp.MAX_ARRAY_BYTES (1 GiB) fails before any solve or slot.
+The process exits 0 on success and nonzero after printing one diagnostic
+line to stderr.
 """
 
 from __future__ import annotations

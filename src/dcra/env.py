@@ -89,36 +89,30 @@ class UniformStream:
 
     Consuming through .random() yields the same sequence as the underlying
     generator would produce; buffering only amortises the per-call overhead.
-    A block is kept as the array that the generator returns.  random()
-    lists it on its first read of the block, once, and reads the list;
-    the slot loop and the exploration plan take the array from _refill()
-    and never list it.
+    A block is kept as the array that the generator returns; random()
+    reads one float of it per call, and the slot loop and the exploration
+    plan take the whole array from _refill().
     """
 
-    __slots__ = ("_gen", "_buf", "_list", "_pos", "_block")
+    __slots__ = ("_gen", "_buf", "_pos", "_block")
 
     def __init__(self, seed, block: int = STREAM_BLOCK) -> None:
         self._gen = np.random.default_rng(seed)
         self._block = block
         self._buf = np.empty(0)
-        self._list: list[float] = []  # _buf as floats once random() has read it
         self._pos = 0
 
     def random(self) -> float:
         pos = self._pos
-        values = self._list
-        if pos >= len(values):
-            if pos >= len(self._buf):
-                self._refill()
-                pos = 0
-            values = self._list = self._buf.tolist()
+        if pos >= len(self._buf):
+            self._refill()
+            pos = 0
         self._pos = pos + 1
-        return values[pos]
+        return float(self._buf[pos])
 
     def _refill(self) -> np.ndarray:
         """Replace the exhausted buffer with the next block; returns it."""
         self._buf = self._gen.random(self._block)
-        self._list = []
         self._pos = 0
         return self._buf
 

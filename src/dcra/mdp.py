@@ -10,18 +10,19 @@ the peer queue, which no real agent can.
 State index layout: s = (l1 * 2^D + l2) * 4 + o with observation order
 IDLE, BUSY, SUCCESSFUL, FAILED.  l1 and l2 are lead-time bitmasks, bit k
 set meaning a packet expiring in k+1 slots.  No transition depends on the
-source observation, so the model stores one row per pair: its kernel, shape
-(2, 4^D, n_states), holds P(s' | l1, l2, a) in row l1 * 2^D + l2, read off
-a table of the six outcomes of a slot (see TwoDeviceModel).
+source observation, so the model stores, for each action and pair
+l1 * 2^D + l2, the 24 successors of a slot's six outcomes under four
+arrival combinations (see TwoDeviceModel).
 
 upper_bound solves the MDP by policy iteration on the (l1, l2) pairs and
-certifies its value by the gain interval of its last step.
-write_mps exports the paper's dual LP over the joint states straight from
-the kernel; bound_program builds it densely, as the tests' reference.
+certifies its value by the gain interval of its last step.  write_mps
+exports the paper's dual LP over the joint states straight from the table;
+bound_program builds it densely, as the tests' reference.
 
-Both grow sixteenfold per lifetime.  No array of a bound may take over
-MAX_ARRAY_BYTES (1 GiB), checked before it is allocated: the kernel, 64 * 16^D
-bytes, fits up to D=6, bound_program's matrix, 64 * n_states^2, to D=5.
+The table takes 768 * 4^D bytes.  No array of a bound may take over
+MAX_ARRAY_BYTES (1 GiB), checked before it is allocated: upper_bound's
+policy system, 8 * 16^D bytes, fits up to D=6, bound_program's matrix,
+64 * n_states^2, to D=5.
 """
 
 from __future__ import annotations
@@ -90,14 +91,14 @@ class TwoDeviceParams:
 
 
 class TwoDeviceModel:
-    """Pair kernel [a, l1 * masks + l2, s'] and reward vector of the joint chain.
+    """Successor table [a, l1 * masks + l2, 4k + c] and rewards of the joint chain.
 
-    _build reads the kernel off a table of the six slot outcomes: collision,
-    agent decoded or not, peer decoded or not, idle.  A row holds the
-    outcome's probability given whether the peer holds a packet and whether
-    the agent sends, who delivers, and the agent's next observation.  Each
-    row is added over all pairs and arrival combinations at once; a cell
-    gathers at most two nonzero terms, in row order, so no sum is reordered.
+    _build reads outcome k of a slot off six rows: collision, agent decoded
+    or not, peer decoded or not, idle.  A row holds the outcome's probability
+    given whether the peer holds a packet and whether the agent sends, who
+    delivers, and the agent's next observation; with arrival combination c it
+    gives `successors`, the joint destination pair' * 4 + o', and `probs`.
+    Zeros stay, so a destination can repeat; its entries add in table order.
     """
 
     def __init__(self, params: TwoDeviceParams, lifetime: int):
@@ -107,14 +108,12 @@ class TwoDeviceModel:
         self.lifetime = lifetime
         self.masks = 1 << lifetime
         self.n_states = self.masks * self.masks * 4
-        _check_array_bytes(lifetime, "kernel", 8 * 2 * self.masks**2 * self.n_states)
-        self.kernel = self._build()
-        obs = np.arange(self.n_states) % 4
-        self.rewards = (
-            (obs == ChannelObservation.BUSY) | (obs == ChannelObservation.SUCCESSFUL)
-        ).astype(float)
+        _check_array_bytes(lifetime, "policy system", 8 * self.masks**4)
+        self.successors, self.probs = self._build()
+        earns = (ChannelObservation.BUSY, ChannelObservation.SUCCESSFUL)
+        self.rewards = np.isin(np.arange(self.n_states) % 4, earns).astype(float)
 
-    def _build(self) -> np.ndarray:
+    def _build(self) -> tuple[np.ndarray, np.ndarray]:
         p, m = self.params, self.masks
         pt, ks = p.peer_transmit, p.agent_success
         o = ChannelObservation
@@ -135,24 +134,29 @@ class TwoDeviceModel:
         pa = np.outer([1 - p.peer_arrival, p.peer_arrival],
                       [1 - p.agent_arrival, p.agent_arrival]).ravel()
         arrived = np.array([0, 1, m, m + 1]) << (self.lifetime - 1)
-        rows = np.arange(m * m)[:, None]
-        kernel = np.zeros((2, m * m, self.n_states))
+        successors = np.empty((2, m * m, len(outcomes), 4), dtype=np.intp)
+        probs = np.empty((2, m * m, len(outcomes), 4))
         for a, sends in enumerate((np.zeros(m * m, dtype=bool), l2 != 0)):
-            for (both, peer_only, agent_only, neither), d1, d2, obs in outcomes:
+            for k, ((both, peer_only, agent_only, neither), d1, d2, obs) in enumerate(outcomes):
                 prob = np.where(peer, np.where(sends, both, peer_only),
                                 np.where(sends, agent_only, neither))
                 # a delivery clears the most urgent (lowest) set bit, then
                 # every packet ages one slot
                 pair = ((l1 & (l1 - 1) if d1 else l1) >> 1) * m + (
                     (l2 & (l2 - 1) if d2 else l2) >> 1)
-                kernel[a, rows, (pair[:, None] + arrived) * 4 + obs] += prob[:, None] * pa
-        return kernel
+                successors[a, :, k] = (pair[:, None] + arrived) * 4 + obs
+                probs[a, :, k] = prob[:, None] * pa
+        return successors.reshape(2, m * m, -1), probs.reshape(2, m * m, -1)
 
     @cached_property
     def transitions(self) -> np.ndarray:
-        """Dense joint tensor: each pair's kernel row for its 4 source observations."""
-        _check_array_bytes(self.lifetime, "joint tensor", 4 * self.kernel.nbytes)
-        return np.repeat(self.kernel, 4, axis=1)
+        """Dense joint tensor: the table added up, repeated per source observation."""
+        pairs = self.masks * self.masks
+        _check_array_bytes(self.lifetime, "joint tensor", 8 * 2 * 4 * pairs * self.n_states)
+        rows = np.zeros((2, pairs, self.n_states))
+        np.add.at(rows, (np.arange(2)[:, None, None], np.arange(pairs)[:, None],
+                         self.successors), self.probs)
+        return np.repeat(rows, 4, axis=1)
 
 
 def build_mdp(params: TwoDeviceParams, lifetime: int) -> TwoDeviceModel:
@@ -210,7 +214,7 @@ def bound_program(model: TwoDeviceModel) -> LpProgram:
 
 
 def write_mps(model: TwoDeviceModel, path: str) -> None:
-    """Write bound_program's LP in fixed-field MPS, column by column from the kernel.
+    """Write bound_program's LP in fixed-field MPS, column by column from the table.
 
     x(s,a) is column 2s+a and y(s,a) column 2n+2s+a; row s' is the flow
     equality of s', row n+s' its normalisation.  A flow entry is
@@ -222,14 +226,15 @@ def write_mps(model: TwoDeviceModel, path: str) -> None:
     """
     n, rewards = model.n_states, model.rewards.tolist()
     row = [f"R{i + 1:07d}" for i in range(2 * n)]
-    successors = {}  # (action, pair): the s' with P(s'|pair, a) > 0, and P
+    successors = {}  # (action, pair): P(s'|pair, a) by s', added in table order
     for a, pair in np.ndindex(2, model.masks**2):
-        dest = np.flatnonzero(model.kernel[a, pair])
-        successors[a, pair] = dest.tolist(), model.kernel[a, pair, dest].tolist()
+        merged = successors[a, pair] = {}
+        for d, p in zip(model.successors[a, pair].tolist(), model.probs[a, pair].tolist()):
+            merged[d] = merged.get(d, 0.0) + p
 
     def flow(s: int, a: int) -> list[tuple[int, float]]:
         entries = {s: 1.0}
-        for d, p in zip(*successors[a, s // 4]):
+        for d, p in successors[a, s // 4].items():
             entries[d] = (1.0 if d == s else 0.0) - p
         return sorted((d, v) for d, v in entries.items() if v != 0.0)
 
@@ -263,20 +268,20 @@ def _policy_bias(model: TwoDeviceModel, r: np.ndarray, transmit: np.ndarray) -> 
     """Bias h of the pair chain under the policy `transmit`, with h[0] = 0.
 
     g + h = r_pi + P_pi h with h pinned to 0 at pair 0 is one dense solve,
-    column 0 carrying g.  P_pi is summed out of the kernel one destination
-    observation at a time, so no (2, 4^D, 4^D) pair chain is held.  The
-    system is singular, and np.linalg.solve raises LinAlgError, when the
-    policy's chain splits into several recurrent classes (possible only
-    with an arrival probability of exactly 1).
+    column 0 carrying g.  I - P_pi is added up from the policy's rows of the
+    successor table, so no (2, 4^D, 4^D) pair chain is held.  The system is
+    singular, and np.linalg.solve raises LinAlgError, when the policy's
+    chain splits into several recurrent classes (possible only with an
+    arrival probability of exactly 1).
     """
     pairs = model.masks * model.masks
-    kernel, rows = model.kernel.reshape(2, pairs, pairs, 4), transmit[:, None]
+    act, rows = transmit.astype(np.intp), np.arange(pairs)
     system = np.zeros((pairs, pairs))
-    for o in range(4):
-        system -= np.where(rows, kernel[1, ..., o], kernel[0, ..., o])
+    np.add.at(system, (rows[:, None], model.successors[act, rows] >> 2),
+              -model.probs[act, rows])
     system.flat[:: pairs + 1] += 1.0
     system[:, 0] = 1.0
-    bias = np.linalg.solve(system, np.where(transmit, r[1], r[0]))
+    bias = np.linalg.solve(system, r[act, rows])
     bias[0] = 0.0
     return bias
 
@@ -287,23 +292,23 @@ def upper_bound(model: TwoDeviceModel) -> BoundResult:
     Runs on the (l1, l2) pairs, 4x fewer than the joint states (Puterman
     1994, ch. 8-9): with r(pair, a) = P_a(pair) . rewards, the reward the
     joint chain collects one slot later, a bias h on the pairs has action
-    values q_a = r_a + P_a h, one product of the kernel with h repeated
-    over the four destination observations.  Each step takes q_a and
-    Th = max_a q_a.  For any h the optimal gain lies in
-    min(Th - h) <= g* <= max(Th - h) (Odoni 1969), so the steps stop once
-    that interval is GAIN_TOL wide, and the value is its midpoint.  Until
-    then h becomes the bias of the greedy policy (see _policy_bias), from
-    h = 0; the policy of the step before, or one whose chain has several
-    recurrent classes and so no bias solve, takes the relative
-    value-iteration step h = Th - Th[0] instead.  The Q-gaps of a joint state equal those of its
-    pair, so each pair's greedy action of the last step, taken in all four
-    of its observations, is an optimal joint policy.
+    values q_a = r_a + P_a h, each a sum over the pair's 24 table entries.
+    Each step takes q_a and Th = max_a q_a.  For any h the optimal gain lies
+    in min(Th - h) <= g* <= max(Th - h) (Odoni 1969), so the steps stop once
+    that interval is GAIN_TOL wide; it is clipped into [0, 1], where the
+    rewards lie, and the value is its midpoint.  Until then h becomes the
+    bias of the greedy policy (see _policy_bias), from h = 0; the policy of
+    the step before, or one whose chain has several recurrent classes and so
+    no bias solve, takes the relative value-iteration step h = Th - Th[0]
+    instead.  The Q-gaps of a joint state equal those of its pair, so each
+    pair's greedy action of the last step, taken in all four of its
+    observations, is an optimal joint policy.
     """
-    kernel = model.kernel
-    r = kernel @ model.rewards
+    probs, to_pair = model.probs, model.successors >> 2
+    r = (probs * model.rewards[model.successors]).sum(2)
     h, policy = np.zeros(model.masks * model.masks), None
     for steps in range(1, MAX_STEPS + 1):
-        q = r + kernel @ np.repeat(h, 4)
+        q = r + (probs * h[to_pair]).sum(2)
         th = q.max(axis=0)
         low, high = float((th - h).min()), float((th - h).max())
         if high - low <= GAIN_TOL:
@@ -318,6 +323,7 @@ def upper_bound(model: TwoDeviceModel) -> BoundResult:
     else:
         raise RuntimeError(f"bound policy iteration did not settle: gain in "
                            f"[{low!r}, {high!r}] after {MAX_STEPS} steps")
+    low, high = min(max(low, 0.0), 1.0), min(max(high, 0.0), 1.0)
     return BoundResult(value=(low + high) / 2, gain_interval=(low, high),
                        transmit=q[1] - q[0] > TIE_TOL, iterations=steps, model=model)
 

@@ -188,17 +188,19 @@ def _evaluate_policy(P, r):
 def policy_iteration_bound(model, tie_tol=1e-9):
     """(value, transmit) of the genie MDP by Howard policy iteration.
 
-    Works on the (l1, l2) pair chain, summed out of the model's kernel
-    here.  From all-WAIT: evaluate the policy for (g, h) with dense solves,
-    switch every pair to the greedy action, gain first (P_a g) and then
-    bias (r_a + P_a h), with ties within tie_tol to WAIT, and stop when the
-    policy no longer changes.  The value is the gain averaged over the
+    Works on the (l1, l2) pair chain, summed out of the model's successor
+    table here.  From all-WAIT: evaluate the policy for (g, h) with dense
+    solves, switch every pair to the greedy action, gain first (P_a g) and
+    then bias (r_a + P_a h), with ties within tie_tol to WAIT, and stop when
+    the policy no longer changes.  The value is the gain averaged over the
     pairs, which weighs the joint states uniformly.  A second method for
     lifetimes beyond the LP oracle's reach (about 0.3 s a point at D=5).
     """
     pairs = model.masks * model.masks
-    P = model.kernel.reshape(2, pairs, pairs, 4).sum(axis=3)
-    r = model.kernel @ model.rewards
+    P = np.zeros((2, pairs, pairs))
+    np.add.at(P, (np.arange(2)[:, None, None], np.arange(pairs)[:, None],
+                  model.successors >> 2), model.probs)
+    r = (model.probs * model.rewards[model.successors]).sum(axis=2)
     transmit = np.zeros(pairs, dtype=bool)
     for _ in range(pairs + 1):
         gain, bias = _evaluate_policy(

@@ -232,7 +232,7 @@ def test_every_agent_choice_runs(capsys, tmp_path, monkeypatch, command, kind):
 def test_upper_bound_rejects_large_lifetime(capsys):
     rc, out, err = run_cli(capsys, "upper-bound", "--lifetime", "7")
     assert rc == 1 and out == ""
-    assert err == "error: lifetime 7 needs a 16 GiB kernel, over the 1 GiB one array may take\n"
+    assert err == "error: lifetime 7 needs a 2 GiB policy system, over the 1 GiB one array may take\n"
 
 
 def test_upper_bound_lifetime_5_needs_no_flag(capsys):

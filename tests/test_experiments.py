@@ -216,7 +216,7 @@ def test_run_sweep_refuses_an_oversized_bound_before_any_run(monkeypatch):
 
     monkeypatch.setattr(experiments, "_run_all", no_run)
     with pytest.raises(RuntimeError, match=r"^group 0 at lifetime 7 \(seed \(9, 7, 0\)\) "
-                                           r"failed: lifetime 7 needs a 16 GiB kernel"):
+                                           r"failed: lifetime 7 needs a 2 GiB policy system"):
         run_sweep(groups=2, lifetimes=(7,), agents=("r-tiny", "blind"), seed=9,
                   slots=1_000, window=1_000, with_bound=True)
 

@@ -75,12 +75,16 @@ def test_rows_sum_to_one_across_lifetimes():
             model = build_mdp(random_params(rng), lifetime)
             errs = np.abs(model.transitions.sum(axis=2) - 1.0)
             assert errs.max() <= 1e-12
-            assert np.array_equal(model.kernel, model.transitions[:, ::4, :])
+            pairs = model.masks * model.masks
+            assert model.successors.shape == model.probs.shape == (2, pairs, 24)
+            assert np.abs(model.probs.sum(axis=2) - 1.0).max() <= 1e-12
+            assert model.probs.min() >= 0.0
+            assert 0 <= model.successors.min() <= model.successors.max() < model.n_states
 
 
-# sha256 over the kernel bytes of every model below, in order.  The kernel is
-# built from Python floats by elementwise products and sums, so no BLAS
-# build moves a byte.
+# sha256 over the pair rows of the dense tensor (its kernel) of every model
+# below, in order.  They are summed from Python floats by elementwise
+# products and sums, so no BLAS build moves a byte.
 KERNEL_GOLDEN = "641cf649b650845af329694de4a02c6620316039430ff56a61fe0087390382ee"
 
 
@@ -91,8 +95,8 @@ def test_kernel_bits_are_pinned():
     digest = hashlib.sha256()
     for lifetime in (1, 2, 3):
         for params in [REF] + drawn + grid:
-            digest.update(build_mdp(params, lifetime).kernel.tobytes())
-    digest.update(build_mdp(REF, 4).kernel.tobytes())
+            digest.update(build_mdp(params, lifetime).transitions[:, ::4, :].tobytes())
+    digest.update(build_mdp(REF, 4).transitions[:, ::4, :].tobytes())
     assert digest.hexdigest() == KERNEL_GOLDEN
 
 
@@ -327,6 +331,28 @@ def test_bound_value_is_certified_by_its_gain_interval(lifetime):
     assert high - low <= 1e-12
 
 
+def test_bound_gain_interval_lies_in_the_unit_interval():
+    # rewards lie in [0, 1], so the certified gain does too; unclipped, ten
+    # points of the grid, such as (1, 0, 0, 1, 0) and (0, 1, 1, 0, 1), gave
+    # values down to -2.2e-16
+    for values in itertools.product((0.0, 0.5, 1.0), repeat=5):
+        res = upper_bound(build_mdp(TwoDeviceParams(*values), 3))
+        low, high = res.gain_interval
+        assert 0.0 <= low <= res.value <= high <= 1.0, values
+
+
+def test_bound_at_lifetime_5_holds_no_dense_kernel():
+    # the policy system, 8 MiB at D=5, and LAPACK's copy of it are the
+    # largest arrays; a dense (2, 1024, 4096) kernel alone took 64 MiB
+    tracemalloc.start()
+    try:
+        upper_bound(build_mdp(REF, 5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 << 20
+
+
 @pytest.mark.parametrize("lifetime", (1, 2, 3))
 @pytest.mark.parametrize("peer_transmit", (0.0, 1.0))
 def test_bound_of_a_lone_agent_that_always_delivers_is_one(lifetime, peer_transmit):
@@ -492,10 +518,10 @@ def test_build_rejects_bad_lifetime():
         build_mdp(REF, 0)
 
 
-def test_build_refuses_a_kernel_over_the_array_budget():
+def test_build_refuses_a_policy_system_over_the_array_budget():
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=r"^lifetime 7 needs a 16 GiB kernel, "
+        with pytest.raises(ValueError, match=r"^lifetime 7 needs a 2 GiB policy system, "
                                              r"over the 1 GiB one array may take$"):
             build_mdp(REF, 7)
         peak = tracemalloc.get_traced_memory()[1]
@@ -518,12 +544,15 @@ def test_bound_program_refuses_a_matrix_over_the_array_budget():
 
 
 def test_array_budget_admits_an_array_of_its_size(monkeypatch):
-    # the D=2 kernel and the D=1 LP matrix both take 64 * 16^2 bytes
-    monkeypatch.setattr(mdp, "MAX_ARRAY_BYTES", 64 * 16**2)
-    assert build_mdp(REF, 2).kernel.nbytes == mdp.MAX_ARRAY_BYTES
-    assert bound_program(build_mdp(REF, 1)).constraints.nbytes == mdp.MAX_ARRAY_BYTES
-    with pytest.raises(ValueError, match="^lifetime 3 needs a .* kernel"):
+    # the D=2 policy system takes 8 * 16^2 bytes, the D=1 LP matrix 64 * 16^2
+    monkeypatch.setattr(mdp, "MAX_ARRAY_BYTES", 8 * 16**2)
+    model = build_mdp(REF, 2)
+    assert 8 * model.masks**4 == mdp.MAX_ARRAY_BYTES
+    assert upper_bound(model).value == pytest.approx(0.326537, abs=1e-6)
+    with pytest.raises(ValueError, match="^lifetime 3 needs a .* policy system"):
         build_mdp(REF, 3)
+    monkeypatch.setattr(mdp, "MAX_ARRAY_BYTES", 64 * 16**2)
+    assert bound_program(build_mdp(REF, 1)).constraints.nbytes == mdp.MAX_ARRAY_BYTES
     with pytest.raises(ValueError, match="^lifetime 2 needs a .* LP matrix"):
         bound_program(build_mdp(REF, 2))
     with pytest.raises(ValueError, match="^lifetime 2 needs a .* joint tensor"):

@@ -7,21 +7,4 @@ certified by its gain interval, with the dual linear program kept for export
 to external solvers.
 """
 
-from dcra.core import (
-    Action,
-    ApFeedback,
-    ChannelObservation,
-    DeviceParams,
-    LeadTimeQueue,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Action",
-    "ApFeedback",
-    "ChannelObservation",
-    "DeviceParams",
-    "LeadTimeQueue",
-    "__version__",
-]

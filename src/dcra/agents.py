@@ -121,7 +121,12 @@ class RewardSpec:
         if text == "multi-level":
             return cls.multi_level()
         if text.startswith("two-level-shifted:"):
-            return cls.two_level(float(text.split(":", 1)[1]))
+            try:
+                shift = float(text.split(":", 1)[1])
+            except ValueError:
+                pass  # not a number: the spec is unknown
+            else:
+                return cls.two_level(shift)
         raise ValueError(f"unknown reward spec {text!r}")
 
 

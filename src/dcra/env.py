@@ -275,37 +275,27 @@ def _exploration_plan(learner: TabularLearner, n: int) -> list[int]:
     Entry j is GREEDY where slot j acts greedily, else the action it
     explores.  The learner's UniformStream and step count are left as n
     select() calls would leave them: a slot takes one uniform, and one
-    more for the explored action when the first falls below epsilon.  While
-    epsilon decays the draws are read slot by slot; at EPSILON_FLOOR only the
-    uniforms below the floor are visited, found a window at a time in the
-    stream's array.
+    more for the explored action when the first falls below epsilon.  The
+    draws are read a window of the stream's array at a time: epsilon never
+    rises, so only the uniforms below the epsilon of a window's first slot
+    may explore, and while it decays each is checked against its own slot's.
     """
     plan = [GREEDY] * n
-    stream = learner.rng
-    buf, pos = stream._buf, stream._pos
-    decaying = EPSILONS[learner.steps:learner.steps + n]
-    for j, eps in enumerate(decaying):
-        if pos == len(buf):
-            buf, pos = stream._refill(), 0
-        explore = buf[pos] < eps
-        pos += 1
-        if explore:
-            if pos == len(buf):
-                buf, pos = stream._refill(), 0
-            plan[j] = 1 if buf[pos] < 0.5 else 0
-            pos += 1
-    j = len(decaying)
+    stream, steps = learner.rng, learner.steps
+    buf, pos, j = stream._buf, stream._pos, 0
     while j < n:
         if pos == len(buf):
             buf, pos = stream._refill(), 0
         # the slots left take the uniforms from pos to end unless they explore;
         # each exploration pushes the slots after it one uniform further on
-        start = pos
-        end = min(len(buf), pos + n - j)
-        for c in np.flatnonzero(buf[start:end] < EPSILON_FLOOR).tolist():
+        start, end, eps = pos, min(len(buf), pos + n - j), EPSILON_FLOOR
+        decay = len(EPSILONS) - steps - j  # the window ends where the decay does
+        if decay > 0:
+            end, eps = min(end, pos + decay), EPSILONS[steps + j]
+        for c in np.flatnonzero(buf[start:end] < eps).tolist():
             c += start
-            if c < pos:
-                continue  # drawn as the previous exploration's action
+            if c < pos or decay > 0 and buf[c] >= EPSILONS[steps + j + c - pos]:
+                continue  # the previous exploration's action, or a greedy slot
             j += c - pos
             pos = c + 1
             if pos == len(buf):

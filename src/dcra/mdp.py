@@ -15,9 +15,11 @@ l1 * 2^D + l2, the 24 successors of a slot's six outcomes under four
 arrival combinations (see TwoDeviceModel).
 
 upper_bound solves the MDP by policy iteration on the (l1, l2) pairs and
-certifies its value by the gain interval of its last step.  write_mps
-exports the paper's dual LP over the joint states straight from the table;
-bound_program builds it densely, as the tests' reference.
+certifies its value by the gain interval of its last step.  lp_columns
+reads the paper's dual LP over the joint states off the table, which
+write_mps exports and bound_program fills in densely for the tests.  The
+dense joint tensor `transitions` is kept for the tests and the benchmark
+harness only.
 
 The table takes 768 * 4^D bytes.  No array of a bound may take over
 MAX_ARRAY_BYTES (1 GiB), checked before it is allocated: upper_bound's
@@ -27,6 +29,7 @@ policy system, 8 * 16^D bytes, fits up to D=6, bound_program's matrix,
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import astuple, dataclass, fields
 from functools import cached_property
 
@@ -47,6 +50,7 @@ __all__ = [
     "build_mdp",
     "constant_policy_throughput",
     "informed_optimum_lifetime1",
+    "lp_columns",
     "majority_policy",
     "optimal_constant_policy",
     "upper_bound",
@@ -150,7 +154,10 @@ class TwoDeviceModel:
 
     @cached_property
     def transitions(self) -> np.ndarray:
-        """Dense joint tensor: the table added up, repeated per source observation."""
+        """Dense joint tensor, the table added up per source observation.
+
+        Only the tests and the benchmark harness read it; no bound or export does.
+        """
         pairs = self.masks * self.masks
         _check_array_bytes(self.lifetime, "joint tensor", 8 * 2 * 4 * pairs * self.n_states)
         rows = np.zeros((2, pairs, self.n_states))
@@ -182,71 +189,72 @@ class BoundResult:
     model: TwoDeviceModel
 
 
-def bound_program(model: TwoDeviceModel) -> LpProgram:
-    """Average-reward dual LP whose optimum is the best timely throughput.
+def lp_columns(model: TwoDeviceModel) -> Iterator[list[tuple[int, float]]]:
+    """The paper's average-reward dual LP, one column at a time from the table.
 
-    Variables are the state-action occupancies x plus the auxiliary block y
-    that pins down transient states; both are nonnegative.  For every state
-    s' two equalities hold:
+    x(s,a), column 2s+a, are the state-action occupancies and y(s,a),
+    column 2n+2s+a, an auxiliary block that pins down transient states;
+    both are nonnegative.  Rows s' and n+s' hold, for every state s':
 
         sum_a x(s',a) = sum_{s,a} P(s'|s,a) x(s,a)
         sum_a x(s',a) + sum_a y(s',a) - sum_{s,a} P(s'|s,a) y(s,a) = 1/|S|
 
-    The objective maximises sum r(s) x(s,a).  upper_bound does not solve
-    it, and write_mps exports it without it: its dense (2n, 4n) matrix is
-    the reference that the tests' LP oracle solves and checks write_mps
-    against.  The benchmark harness times it, and reads `transitions`, by
-    name.
+    Yields each column's nonzero (row, value) entries in row order.  A flow
+    entry is 1 or 0, on or off the diagonal, less P(s'|s,a), the table's
+    entries of s' added in table order: I - P^T to the bit.
     """
     n = model.n_states
-    _check_array_bytes(model.lifetime, "LP matrix", 8 * 2 * n * 4 * n)
-    P = model.transitions
-    # column 2s+a of the flow matrix carries P(s'|s,a) in row s'
-    flow = np.transpose(P, (2, 1, 0)).reshape(n, 2 * n)
-    sums = np.zeros((n, 2 * n))
-    rows = np.repeat(np.arange(n), 2)
-    sums[rows, np.arange(2 * n)] = 1.0
-    zero = np.zeros((n, 2 * n))
-    A = np.block([[sums - flow, zero], [sums, sums - flow]])
-    b = np.concatenate([np.zeros(n), np.full(n, 1.0 / n)])
-    c = np.concatenate([np.repeat(model.rewards, 2), np.zeros(2 * n)])
-    return LpProgram(c, A, b)
-
-
-def write_mps(model: TwoDeviceModel, path: str) -> None:
-    """Write bound_program's LP in fixed-field MPS, column by column from the table.
-
-    x(s,a) is column 2s+a and y(s,a) column 2n+2s+a; row s' is the flow
-    equality of s', row n+s' its normalisation.  A flow entry is
-    1 - P(s'|s,a) on the diagonal and 0 - P(s'|s,a) elsewhere, the
-    subtraction of bound_program's sums - flow, so the values match to the
-    bit; zeros are not written.  MPS readers minimise, so the objective row
-    carries the negated rewards.  An OSError surfaces as
-    RuntimeError("cannot write <path>: ..."), as in write_csv.
-    """
-    n, rewards = model.n_states, model.rewards.tolist()
-    row = [f"R{i + 1:07d}" for i in range(2 * n)]
     successors = {}  # (action, pair): P(s'|pair, a) by s', added in table order
     for a, pair in np.ndindex(2, model.masks**2):
         merged = successors[a, pair] = {}
         for d, p in zip(model.successors[a, pair].tolist(), model.probs[a, pair].tolist()):
             merged[d] = merged.get(d, 0.0) + p
 
-    def flow(s: int, a: int) -> list[tuple[int, float]]:
+    def flow(s: int, a: int, row: int) -> list[tuple[int, float]]:
         entries = {s: 1.0}
         for d, p in successors[a, s // 4].items():
             entries[d] = (1.0 if d == s else 0.0) - p
-        return sorted((d, v) for d, v in entries.items() if v != 0.0)
+        return sorted((row + d, v) for d, v in entries.items() if v != 0.0)
+
+    for s, a in np.ndindex(n, 2):
+        yield flow(s, a, 0) + [(n + s, 1.0)]
+    for s, a in np.ndindex(n, 2):
+        yield flow(s, a, n)
+
+
+def bound_program(model: TwoDeviceModel) -> LpProgram:
+    """lp_columns' LP, maximising sum r(s) x(s,a), with its (2n, 4n) matrix dense.
+
+    upper_bound does not solve it; the tests' LP oracle does, and the
+    benchmark harness times it by name.
+    """
+    n = model.n_states
+    _check_array_bytes(model.lifetime, "LP matrix", 8 * 2 * n * 4 * n)
+    A = np.zeros((2 * n, 4 * n))
+    for col, entries in enumerate(lp_columns(model)):
+        for row, value in entries:
+            A[row, col] = value
+    b = np.concatenate([np.zeros(n), np.full(n, 1.0 / n)])
+    c = np.concatenate([np.repeat(model.rewards, 2), np.zeros(2 * n)])
+    return LpProgram(c, A, b)
+
+
+def write_mps(model: TwoDeviceModel, path: str) -> None:
+    """Write lp_columns' LP in fixed-field MPS; zeros are not written.
+
+    Column j is X<j+1> and row i R<i+1>.  MPS readers minimise, so the
+    objective row carries the negated rewards.  An OSError surfaces as
+    RuntimeError("cannot write <path>: ..."), as in write_csv.
+    """
+    n, rewards = model.n_states, model.rewards.tolist()
+    row = [f"R{i + 1:07d}" for i in range(2 * n)]
 
     def columns():
-        for s, a in np.ndindex(n, 2):
-            name = f"X{2 * s + a + 1:07d}"
-            cost = f"    {name}  COST      {-rewards[s]:.12E}\n" if rewards[s] else ""
-            yield cost + "".join(f"    {name}  {row[i]}  {v:.12E}\n"
-                                 for i, v in flow(s, a) + [(n + s, 1.0)])
-        for s, a in np.ndindex(n, 2):
-            name = f"X{2 * n + 2 * s + a + 1:07d}"
-            yield "".join(f"    {name}  {row[n + i]}  {v:.12E}\n" for i, v in flow(s, a))
+        for j, entries in enumerate(lp_columns(model)):
+            name = f"X{j + 1:07d}"
+            cost = rewards[j // 2] if j < 2 * n else 0.0
+            yield (f"    {name}  COST      {-cost:.12E}\n" if cost else "") + "".join(
+                f"    {name}  {row[i]}  {v:.12E}\n" for i, v in entries)
 
     try:
         with open(path, "w", encoding="ascii") as fh:

@@ -261,6 +261,25 @@ def enumerate_lp_max(c, A, b):
     return best
 
 
+def dense_bound_program(model):
+    """(c, A, b) of the paper's dual LP, built densely from `transitions`.
+
+    Column 2s+a of the flow matrix carries P(s'|s,a) in row s', and A is
+    the block matrix [[I - flow, 0], [I, I - flow]] with I the (n, 2n) sum
+    over actions: the x block's flow and normalisation rows, then the y
+    block's, as in mdp.lp_columns' docstring.
+    """
+    n = model.n_states
+    flow = np.transpose(model.transitions, (2, 1, 0)).reshape(n, 2 * n)
+    sums = np.zeros((n, 2 * n))
+    sums[np.repeat(np.arange(n), 2), np.arange(2 * n)] = 1.0
+    zero = np.zeros((n, 2 * n))
+    A = np.block([[sums - flow, zero], [sums, sums - flow]])
+    b = np.concatenate([np.zeros(n), np.full(n, 1.0 / n)])
+    c = np.concatenate([np.repeat(model.rewards, 2), np.zeros(2 * n)])
+    return c, A, b
+
+
 def read_mps(path):
     """(name, c, A, b) of a fixed-field MPS file, read back field by field.
 

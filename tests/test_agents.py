@@ -71,6 +71,15 @@ class TestRewards:
         with pytest.raises(ValueError):
             RewardSpec.two_level(1.5)
 
+    @pytest.mark.parametrize("text", ["two-level-shifted:abc", "two-level-shifted:"])
+    def test_parse_names_a_spec_whose_shift_is_no_number(self, text):
+        with pytest.raises(ValueError, match=f"^unknown reward spec '{text}'$"):
+            RewardSpec.parse(text)
+
+    def test_parse_names_the_shift_outside_its_range(self):
+        with pytest.raises(ValueError, match=r"^shift 1\.5 outside \[0, 1\]$"):
+            RewardSpec.parse("two-level-shifted:1.5")
+
     def test_unshifted_two_level_has_one_spelling(self):
         assert RewardSpec.parse("two-level-shifted:0") == RewardSpec()
         with pytest.raises(ValueError, match="shift only applies"):

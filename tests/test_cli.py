@@ -592,6 +592,19 @@ def test_congestion_has_no_transmit_range(capsys, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "policy-dump"])
+@pytest.mark.parametrize("spec", ["two-level-shifted:abc", "two-level-shifted:"])
+def test_a_reward_spec_whose_shift_is_no_number_fails_naming_it(capsys, tmp_path,
+                                                               command, spec):
+    out = tmp_path / "out.csv"
+    argv = ("--slots", "100", "--reward", spec)
+    argv += ("--out", str(out)) if command == "policy-dump" else ("--trace-out", str(out))
+    rc, out_text, err = run_cli(capsys, command, *argv)
+    assert rc == 1 and out_text == ""
+    assert err == f"error: unknown reward spec '{spec}'\n"
+    assert not out.exists()
+
+
 def test_blind_agent_accepts_the_unshifted_reward_in_either_spelling(capsys):
     argv = ("simulate", "--agent", "blind", "--agent-transmit", "0.3", "--slots", "100")
     rc, plain, err = run_cli(capsys, *argv, "--reward", "two-level")

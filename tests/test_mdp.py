@@ -21,6 +21,7 @@ from dcra.mdp import (
 )
 from dcra.simplex import solve_lp
 from oracles import (
+    dense_bound_program,
     joint_decode,
     joint_index,
     one_slot_transition_mc,
@@ -450,6 +451,36 @@ def test_write_mps_reads_back_as_bound_program(tmp_path, lifetime):
             assert got.shape == want.shape
             assert np.array_equal(got != 0, want != 0)
             assert np.array_equal(got[got != 0], _as_printed(want[want != 0]))
+
+
+@pytest.mark.parametrize("lifetime", (1, 2, 3))
+def test_bound_program_equals_the_dense_reference_to_the_bit(monkeypatch, lifetime):
+    def refuse(*_):
+        raise AssertionError("bound_program read the dense joint tensor")
+
+    rng = np.random.default_rng(11)
+    points = [REF] + [sample_params(ParamRanges(), rng) for _ in range(2)]
+    references = [dense_bound_program(build_mdp(params, lifetime)) for params in points]
+    monkeypatch.setattr(mdp.TwoDeviceModel, "transitions", property(refuse))
+    for params, reference in zip(points, references):
+        program = bound_program(build_mdp(params, lifetime))
+        got = (program.objective, program.constraints, program.rhs)
+        for have, want in zip(got, reference):
+            assert have.shape == want.shape
+            assert have.tobytes() == want.tobytes()
+
+
+def test_bound_program_peaks_near_its_matrix():
+    # the D=3 matrix takes 4 MiB; building it from the dense transitions
+    # held 2.5 times that at once
+    model = build_mdp(REF, 3)
+    tracemalloc.start()
+    try:
+        matrix = bound_program(model).constraints
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * matrix.nbytes
 
 
 def test_write_mps_builds_nothing_the_size_of_the_matrix(tmp_path):

@@ -209,11 +209,12 @@ def _note_ignored(opts: dict, *keys: str) -> None:
 
 def _check_writable(*paths: str | None) -> None:
     """Fail now, with write_csv's message, on an output path that cannot be
-    written, so that no run is spent before the write fails; creates no file."""
+    written, so that no run is spent before the write fails; creates no file.
+    An empty path has no parent, so it fails as opening it would."""
     for path in paths:
         if path is None:
             continue
-        parent = os.path.dirname(path) or os.curdir
+        parent = os.path.dirname(path) or path and os.curdir
         if os.path.isdir(path):
             code = errno.EISDIR
         elif not os.path.isdir(parent):
@@ -229,7 +230,9 @@ def _check_writable(*paths: str | None) -> None:
 
 def _out_path(opts: dict, default_name: str) -> str:
     """The command's --out, else default_name in the output directory; checked."""
-    path = opts["out"] or os.path.join(experiments.default_output_dir(), default_name)
+    path = opts["out"]
+    if path is None:
+        path = os.path.join(experiments.default_output_dir(), default_name)
     _check_writable(path)
     return path
 
@@ -248,7 +251,8 @@ def _ranges(opts: dict) -> experiments.ParamRanges:
 
 def _cmd_simulate(opts: dict) -> int:
     _note_ignored(opts, "out")
-    _check_writable(opts["trace_out"])
+    trace_out = opts["trace_out"]
+    _check_writable(trace_out)
     cfg = experiments.two_device_config(
         _pair_params(opts), opts["lifetime"], opts["agent"], opts["slots"],
         seed=opts["seed"],
@@ -258,9 +262,9 @@ def _cmd_simulate(opts: dict) -> int:
     window = opts["window"]
     if window is not None:
         check_window(window, cfg.horizon)
-    result = run(cfg, trace=opts["trace_out"] is not None)
-    if opts["trace_out"]:
-        write_trace_csv(result, opts["trace_out"])
+    result = run(cfg, trace=trace_out is not None)
+    if trace_out is not None:
+        write_trace_csv(result, trace_out)
     print(f"throughput={result.metrics.timely_throughput(window)!r}")
     print(f"power={result.metrics.power(window)!r}")
     return 0
@@ -268,16 +272,19 @@ def _cmd_simulate(opts: dict) -> int:
 
 def _cmd_upper_bound(opts: dict) -> int:
     _note_ignored(opts, "seed", "out")
-    _check_writable(opts["export_lp"], opts["policy_out"])
+    lp, policy = opts["export_lp"], opts["policy_out"]
+    _check_writable(lp, policy)
+    if None not in (lp, policy) and os.path.realpath(lp) == os.path.realpath(policy):
+        raise RuntimeError(f"--export-lp {lp} and --policy-out {policy} name one file")
     model = build_mdp(_pair_params(opts), opts["lifetime"])
     bound = upper_bound(model)
     print(f"bound={bound.value!r}")
-    if opts["export_lp"]:
-        write_mps(model, opts["export_lp"])
-        print(f"wrote {opts['export_lp']}")
-    if opts["policy_out"]:
-        _write_bound_policy(bound, opts["policy_out"])
-        print(f"wrote {opts['policy_out']}")
+    if lp is not None:
+        write_mps(model, lp)
+        print(f"wrote {lp}")
+    if policy is not None:
+        _write_bound_policy(bound, policy)
+        print(f"wrote {policy}")
     return 0
 
 

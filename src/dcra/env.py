@@ -19,17 +19,17 @@ is private to its purpose, so runs are reproducible bit for bit and adding
 consumers of one stream never perturbs the others.  The channel stream
 consumes exactly one uniform per slot whether or not anyone transmitted.
 
-The channel and arrival streams are drawn BLOCK slots at a time (one
-uniform per slot each), which yields the same sequence as drawing them slot
-by slot.  Policy streams take 0, 1 or 2 uniforms per slot, so they stay
-buffered in a UniformStream, whose block is a numpy array.  A blind device's
-draws depend on its queue, so the slot loop compares each refill with its
-transmit probability in one array operation and reads the decisions, one per
-draw, as it goes.  A learner's draws do not depend on its queue: each block
-its stream is read ahead into an exploration plan, the explored action or
-GREEDY for every slot, with the consumption select() would have.  The plan
-reads the array and lists only the draws below the exploration floor, so a
-learner's stream is never turned into Python floats.
+Every stream is drawn BLOCK uniforms at a time, which yields the same
+sequence as drawing them one by one: BLOCK slots of the channel and arrival
+streams, one uniform per slot each.  Policy streams take 0, 1 or 2 uniforms
+per slot, so they stay buffered in a UniformStream, whose block is a numpy
+array.  A blind device's draws depend on its queue, so the slot loop compares
+each refill with its transmit probability in one array operation and reads
+the decisions, one per draw, as it goes.  A learner's draws do not depend on
+its queue: each block its stream is read ahead into an exploration plan, the
+explored action or GREEDY for every slot, with the consumption select() would
+have.  The plan reads the array and lists only the draws below the
+exploration floor, so a learner's stream is never turned into Python floats.
 
 A traced loop records only three facts of each slot: who sent, the
 arrivals and the backlogs.  The SlotRecords (feedback, winner,
@@ -78,10 +78,8 @@ __all__ = [
     "write_trace_csv",
 ]
 
-# slots per block of channel and arrival draws
+# uniforms per draw of every stream: BLOCK slots of channel and arrival draws
 BLOCK = 4096
-# uniforms per refill of a policy stream
-STREAM_BLOCK = 8192
 
 
 class UniformStream:
@@ -96,7 +94,7 @@ class UniformStream:
 
     __slots__ = ("_gen", "_buf", "_pos", "_block")
 
-    def __init__(self, seed, block: int = STREAM_BLOCK) -> None:
+    def __init__(self, seed, block: int = BLOCK) -> None:
         self._gen = np.random.default_rng(seed)
         self._block = block
         self._buf = np.empty(0)
@@ -320,9 +318,9 @@ def _exploration_plan(learner: TabularLearner, n: int) -> list[int]:
 # True where that draw sends; for a learner its doubled state s{i}, the q
 # index k{i} of the action it took, the physical action x{i}, the slot's
 # reward r{i}, its q list q{i}, gain rho{i}, reward table R{i} and the
-# block's exploration plan P{i}.  run() hands the loop fresh streams of
-# STREAM_BLOCK uniforms a refill, so a blind device draws its first buffer up
-# front and refills when its cursor reaches pblock.
+# block's exploration plan P{i}.  A device's set-up reads pr{i} or R{i} from
+# `devices`.  Streams refill `block` uniforms, so a blind device draws its
+# first buffer up front and refills when its cursor reaches block.
 #
 # Once every device has acted, the slot takes one of three branches, idle,
 # decoded or collided, and _close writes every device's close inside each:
@@ -335,7 +333,7 @@ def _exploration_plan(learner: TabularLearner, n: int) -> list[int]:
 
 _BLIND_SETUP = """\
 m{i} = 0
-pr{i} = probs[{i}]
+pr{i} = devices[{i}].blind_transmit_prob()
 st{i} = streams[{i}]
 b{i} = (st{i}._refill() < pr{i}).tolist()
 p{i} = 0
@@ -346,13 +344,13 @@ m{i} = s{i} = 0
 L{i} = learners[{i}]
 q{i} = L{i}.q
 rho{i} = L{i}.rho
-R{i} = tables[{i}]
+R{i} = reward_table(devices[{i}].agent.reward)
 """
 
 _BLIND_ACT = """\
 x{i} = False  #T
 if m{i}:
-    if p{i} == pblock:
+    if p{i} == block:
         b{i} = (st{i}._refill() < pr{i}).tolist()
         p{i} = 0
     if b{i}[p{i}]:
@@ -448,9 +446,10 @@ records.append((({sent},), ({arr},), ({backlog},)))
 """
 
 _LOOP = """\
-def slot_loop(horizon, block, pblock, top, channel_gen, arrival_gens, rates, success,
-              probs, streams, learners, tables, step, gain_step, discount,
-              delivered_arr, senders_arr, records):
+def slot_loop(horizon, block, top, devices, channel_gen, arrival_gens, streams, learners,
+              step, gain_step, discount, delivered_arr, senders_arr, records):
+    rates = [dev.params.arrival_rate for dev in devices]
+    success = [dev.params.success_prob for dev in devices]
 {setup}
     lone = -1
     for t0 in range(0, horizon, block):
@@ -547,7 +546,7 @@ def _compiled_loop(kinds: tuple[str, ...], traced: bool):
     name = _loop_name(kinds, traced)
     source = _loop_source(kinds, traced)
     linecache.cache[name] = (len(source), None, source.splitlines(True), name)
-    namespace = {"plan": _exploration_plan, "uint8": np.uint8}
+    namespace = {"plan": _exploration_plan, "reward_table": reward_table, "uint8": np.uint8}
     exec(compile(source, name, "exec"), namespace)
     return namespace["slot_loop"]
 
@@ -596,13 +595,14 @@ def run(config: ScenarioConfig, trace: bool = False) -> RunResult:
     The slot loop is the single-step API unrolled over the devices: its
     source is generated from the layout (each device's kind, and whether
     the run is traced) and compiled once per process for each layout.
-    Probabilities, tables and the lifetime are passed in, not written into
-    the source.  The loop keeps every queue as a bitmask of occupied buckets
-    (bit k set when a packet expires k+1 slots from now) and every
-    per-device value in a local.  A learner's epsilon-greedy draws are read
-    off its stream one block at a time, as an exploration plan, so the loop
-    only makes the greedy comparison.  The learners returned are in the
-    state that select()/update() calls on the same slots would leave.
+    The loop reads each device's probabilities and reward table from the
+    scenario's devices and takes the lifetime as an argument, so none of them
+    is written into the source.  It keeps every queue as a bitmask of
+    occupied buckets (bit k set when a packet expires k+1 slots from now)
+    and every per-device value in a local.  A learner's epsilon-greedy draws
+    are read off its stream one block at a time, as an exploration plan, so
+    the loop only makes the greedy comparison.  The learners returned are in
+    the state that select()/update() calls on the same slots would leave.
     """
     devices = config.devices
     n = len(devices)
@@ -614,30 +614,18 @@ def run(config: ScenarioConfig, trace: bool = False) -> RunResult:
     channel_gen = np.random.default_rng(children[n])
     streams = [UniformStream(children[n + 1 + i]) for i in range(n)]
 
-    learners: list[TabularLearner | None] = []
-    probs: list[float | None] = []
-    tables: list[tuple[float | None, ...] | None] = []
-    for i, dev in enumerate(devices):
-        if dev.agent.is_learner:
-            # a state s is kept doubled, as 2*s, the index of its WAIT value
-            # in the q list, so that 2*s + a indexes the value of action a
-            learners.append(TabularLearner(dev.agent.kind, config.lifetime, streams[i]))
-            tables.append(reward_table(dev.agent.reward))
-            probs.append(None)
-        else:
-            learners.append(None)
-            tables.append(None)
-            probs.append(dev.blind_transmit_prob())
+    # a learner's state s is kept doubled, as 2*s, the index of its WAIT
+    # value in the q list, so that 2*s + a indexes the value of action a
+    learners = [TabularLearner(dev.agent.kind, config.lifetime, stream)
+                if dev.agent.is_learner else None
+                for dev, stream in zip(devices, streams)]
 
     delivered_arr = np.zeros(horizon, dtype=np.uint8)
     senders_arr = np.zeros(horizon, dtype=np.int16)
     records: list | None = [] if trace else None
     loop = _compiled_loop(tuple(dev.agent.kind for dev in devices), trace)
-    loop(horizon, BLOCK, STREAM_BLOCK, config.lifetime - 1, channel_gen, arrival_gens,
-         [dev.params.arrival_rate for dev in devices],
-         [dev.params.success_prob for dev in devices],
-         probs, streams, learners, tables, STEP_SIZE, GAIN_STEP_SIZE, DISCOUNT,
-         delivered_arr, senders_arr, records)
+    loop(horizon, BLOCK, config.lifetime - 1, devices, channel_gen, arrival_gens, streams,
+         learners, STEP_SIZE, GAIN_STEP_SIZE, DISCOUNT, delivered_arr, senders_arr, records)
 
     return RunResult(
         config=config,

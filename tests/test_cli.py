@@ -159,8 +159,15 @@ def test_window_is_checked_before_any_run(capsys, tmp_path, monkeypatch, argv):
     ("policy-dump", "--out", "{missing}/p.csv"),
     ("congestion", "--out", "{missing}/g.csv"),
     ("congestion", "--out", "{dir}"),
+    # an empty path names no file, here or in the output directory
+    ("simulate", "--trace-out", ""),
+    ("upper-bound", "--lifetime", "1", "--export-lp", ""),
+    ("upper-bound", "--lifetime", "1", "--policy-out", ""),
+    ("policy-dump", "--out", ""),
+    ("sweep", "--out", ""),
 ])
 def test_output_paths_are_checked_before_any_run(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
     calls = []
     monkeypatch.setattr(cli, "run", lambda *a, **k: calls.append("run"))
     monkeypatch.setattr(cli, "build_mdp", lambda *a, **k: calls.append("build_mdp"))
@@ -176,6 +183,21 @@ def test_output_paths_are_checked_before_any_run(capsys, tmp_path, monkeypatch, 
     assert err == f"error: {written.value}\n"
     assert str(written.value).startswith(f"cannot write {path}: ")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("policy", ["b.out", "./b.out", "{dir}/b.out", "{dir}/link"])
+def test_upper_bound_refuses_two_outputs_naming_one_file(capsys, tmp_path, monkeypatch,
+                                                         policy):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "link").symlink_to(tmp_path / "b.out")
+    calls = []
+    monkeypatch.setattr(cli, "build_mdp", lambda *a, **k: calls.append("build_mdp"))
+    policy = policy.format(dir=tmp_path)
+    rc, out, err = run_cli(capsys, "upper-bound", "--lifetime", "1", "--export-lp", "b.out",
+                           "--policy-out", policy)
+    assert rc == 1 and out == "" and calls == []
+    assert err == f"error: --export-lp b.out and --policy-out {policy} name one file\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["link"]
 
 
 def _subparsers() -> dict:

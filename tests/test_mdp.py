@@ -438,30 +438,38 @@ def _as_printed(values):
 
 
 @pytest.mark.parametrize("lifetime", (1, 2, 3))
-def test_bound_program_equals_the_dense_reference_to_the_bit(tmp_path, monkeypatch, lifetime):
-    """bound_program's (c, A, b) equal dense_bound_program's bit for bit, and
-    write_mps's file reads back as them rounded as the file prints them,
-    with the same nonzeros; neither reads the dense joint tensor."""
+def test_write_mps_reads_back_as_bound_program(tmp_path, lifetime):
+    """The MPS file reads back as the dense reference's (c, A, b), rounded as
+    the file prints them, with the same nonzeros. The reference is built
+    without `lp_columns`, so the check does not share write_mps's source."""
+    rng = np.random.default_rng(11)
+    path = tmp_path / "bound.mps"
+    for params in [REF] + [sample_params(ParamRanges(), rng) for _ in range(2)]:
+        model = build_mdp(params, lifetime)
+        mdp.write_mps(model, str(path))
+        name, *arrays = read_mps(path)
+        assert name == f"DCRA-D{lifetime}"
+        for got, want in zip(arrays, dense_bound_program(model)):
+            assert got.shape == want.shape
+            assert np.array_equal(got != 0, want != 0)
+            assert np.array_equal(got[got != 0], _as_printed(want[want != 0]))
+
+
+@pytest.mark.parametrize("lifetime", (1, 2, 3))
+def test_bound_program_equals_the_dense_reference_to_the_bit(monkeypatch, lifetime):
     def refuse(*_):
-        raise AssertionError("the LP read the dense joint tensor")
+        raise AssertionError("bound_program read the dense joint tensor")
 
     rng = np.random.default_rng(11)
     points = [REF] + [sample_params(ParamRanges(), rng) for _ in range(2)]
     references = [dense_bound_program(build_mdp(params, lifetime)) for params in points]
     monkeypatch.setattr(mdp.TwoDeviceModel, "transitions", property(refuse))
-    path = tmp_path / "bound.mps"
     for params, reference in zip(points, references):
-        model = build_mdp(params, lifetime)
-        program = bound_program(model)
-        mdp.write_mps(model, str(path))
-        name, *printed = read_mps(path)
-        assert name == f"DCRA-D{lifetime}"
+        program = bound_program(build_mdp(params, lifetime))
         got = (program.objective, program.constraints, program.rhs)
-        for have, read, want in zip(got, printed, reference):
-            assert have.shape == read.shape == want.shape
+        for have, want in zip(got, reference):
+            assert have.shape == want.shape
             assert have.tobytes() == want.tobytes()
-            assert np.array_equal(read != 0, want != 0)
-            assert np.array_equal(read[read != 0], _as_printed(want[want != 0]))
 
 
 def test_bound_program_peaks_near_its_matrix():
